@@ -25,10 +25,13 @@ SimTime ServerView::EstimateCompletion(SubsetMask subset) const {
   return completion;
 }
 
-PolicyOutput ServingPolicy::OnIdle(
-    const ServerView& /*view*/,
-    const std::vector<const TracedQuery*>& /*buffer*/) {
-  return {};
+const SnapshotQuery& PlanWorkspace::Find(int64_t query_id) const {
+  for (const SnapshotQuery& snap : buffer) {
+    if (snap.traced->query.id == query_id) return snap;
+  }
+  SCHEMBLE_CHECK(false) << "plan references query " << query_id
+                        << " outside its snapshot";
+  return buffer.front();
 }
 
 void ServingPolicy::PlanOnView(const ServerView& /*view*/,

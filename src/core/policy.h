@@ -101,10 +101,10 @@ struct PolicyOutput {
   SimTime overhead_us = 0;
 };
 
-/// Opaque per-caller scratch for the off-lock planning path. A policy that
-/// supports off-lock planning keeps ALL mutable planning state (DP
-/// workspaces, score caches) behind this interface instead of in policy
-/// members, so PlanOnView can run concurrently with OnArrival. Each
+/// Opaque per-caller planning scratch. A policy that plans keeps ALL
+/// mutable planning state (DP workspaces, score caches) behind this
+/// interface instead of in policy members, so PlanOnView can run
+/// concurrently with OnArrival. Each
 /// planning caller owns exactly one instance (via CreatePlanState) and
 /// never shares it between threads.
 class PolicyPlanState {
@@ -113,37 +113,42 @@ class PolicyPlanState {
 };
 
 /// One buffered query as captured in a planning snapshot. `traced` points
-/// into the caller's immutable QueryTrace; `index` and `generation` are
-/// runtime bookkeeping the caller echoes back at commit time to detect
-/// queries that were assigned or finalized while planning ran off-lock
-/// (policies ignore both fields).
+/// into the caller's immutable QueryTrace; `index` (the trace position)
+/// and `generation` are caller bookkeeping echoed back at commit time to
+/// map plan entries to queries and, in the runtime, to detect queries
+/// that were assigned or finalized while planning ran off-lock (policies
+/// ignore both fields).
 struct SnapshotQuery {
   const TracedQuery* traced = nullptr;
   int index = 0;
   uint64_t generation = 0;
 };
 
-/// Reusable snapshot-plus-plan workspace for off-lock planning. The caller
-/// fills `buffer` (and its own ServerView) inside a short critical
-/// section — reusing vector capacity so steady-state snapshots allocate
-/// nothing — then calls PlanOnView outside the lock, which writes
+/// Reusable snapshot-plus-plan workspace. The caller fills `buffer` (and
+/// its own ServerView) — in the runtime inside a short critical section,
+/// reusing vector capacity so steady-state snapshots allocate nothing —
+/// then calls PlanOnView (in the runtime outside the lock), which writes
 /// `output`. `state` holds the policy's scratch from CreatePlanState.
 struct PlanWorkspace {
   std::vector<SnapshotQuery> buffer;
   PolicyOutput output;
   std::unique_ptr<PolicyPlanState> state;
+
+  /// The snapshot entry of `query_id`; CHECK-fails when a plan references
+  /// a query outside its snapshot.
+  const SnapshotQuery& Find(int64_t query_id) const;
 };
 
 /// Decision interface between the serving drivers and a selection/
 /// scheduling strategy. The server owns queues, executors, aggregation and
 /// metrics; policies only decide which tasks run where and when.
 ///
-/// Thread-safety contract: the stateful entry points (OnArrival / OnIdle)
-/// may touch unguarded mutable members (score caches) and need NOT be
-/// thread-safe — callers serialize them. The discrete-event EnsembleServer
-/// is single-threaded; the ConcurrentServer serializes them under its
-/// policy mutex. PlanOnView is the exception: it is const, keeps all its
-/// scratch in the caller-owned PlanWorkspace, and MUST be safe to run
+/// Thread-safety contract: OnArrival may touch unguarded mutable members
+/// (score caches) and need NOT be thread-safe — callers serialize it. The
+/// discrete-event EnsembleServer is single-threaded; the ConcurrentServer
+/// serializes it under each scheduler domain's mutex. PlanOnView, the one
+/// planning entry point of both servers, is const, keeps all its scratch
+/// in the caller-owned PlanWorkspace, and MUST be safe to run
 /// concurrently with OnArrival calls on the same policy object (any
 /// counters it advances must be atomic). Objects a policy only reads
 /// (SyntheticTask, AccuracyProfile, Aggregator, DiscrepancyPredictor)
@@ -159,32 +164,31 @@ class ServingPolicy {
   virtual ArrivalDecision OnArrival(const TracedQuery& query,
                                     const ServerView& view) = 0;
 
-  /// Called whenever an executor becomes idle while the buffer is
-  /// non-empty. `buffer` is ordered by arrival. Returning an empty output
-  /// leaves the buffer untouched.
-  virtual PolicyOutput OnIdle(const ServerView& view,
-                              const std::vector<const TracedQuery*>& buffer);
+  /// Legacy serialized planning hook, not called by either server: both
+  /// plan through PlanOnView. Kept only so existing overrides compile.
+  virtual PolicyOutput OnIdle(
+      const ServerView& /*view*/,
+      const std::vector<const TracedQuery*>& /*buffer*/) {
+    return {};
+  }
 
-  /// When true, the concurrent runtime plans off-lock: it snapshots server
-  /// state under its mutex, releases it, and calls PlanOnView against the
-  /// snapshot while arrivals keep flowing. Policies returning true must
-  /// implement CreatePlanState/PlanOnView per the contract above and keep
-  /// OnIdle consistent with PlanOnView (the discrete-event driver still
-  /// uses OnIdle).
+  /// Legacy capability query, not called by either server: planning is
+  /// always off-lock. Kept only so existing overrides compile.
   virtual bool SupportsOffLockPlanning() const { return false; }
 
   /// Creates the caller-owned scratch PlanOnView works against. Callers
-  /// create one per planning thread and reuse it across calls. Returns
-  /// null when off-lock planning is unsupported.
+  /// create one per planning thread and reuse it across calls. Policies
+  /// that never buffer may return null.
   virtual std::unique_ptr<PolicyPlanState> CreatePlanState() const {
     return nullptr;
   }
 
-  /// Const planning entry point: reads `view` and `ws->buffer` (a snapshot
-  /// of the central query buffer in arrival order), writes
-  /// `ws->output`, and keeps every piece of mutable scratch inside `ws`.
-  /// Must produce the same decisions OnIdle would for an identical
-  /// view/buffer. The base implementation plans nothing.
+  /// The one planning entry point of both servers, called when capacity
+  /// frees up while the buffer is non-empty: reads `view` and
+  /// `ws->buffer` (a snapshot of the central query buffer in arrival
+  /// order), writes `ws->output`, and keeps every piece of mutable scratch
+  /// inside `ws`. An empty output leaves the buffer untouched. The base
+  /// implementation plans nothing.
   virtual void PlanOnView(const ServerView& view, PlanWorkspace* ws) const;
 
   /// Per-query latency charged before an arriving query becomes visible to

@@ -7,9 +7,8 @@
 namespace schemble {
 namespace {
 
-/// Schemble's planning scratch: everything OnIdle used to mutate on the
-/// policy itself now lives here, one instance per planning caller, so the
-/// concurrent runtime can solve the DP outside its policy mutex while
+/// Schemble's planning scratch, one instance per planning caller, so the
+/// concurrent runtime can solve the DP outside its domain mutex while
 /// OnArrival keeps running against the policy's own members.
 struct SchemblePlanState final : PolicyPlanState {
   explicit SchemblePlanState(const DpScheduler::Options& dp_options)
@@ -137,20 +136,6 @@ ArrivalDecision SchemblePolicy::OnArrival(const TracedQuery& query,
     return ArrivalDecision::Buffer();
   }
   return ArrivalDecision::Buffer();
-}
-
-PolicyOutput SchemblePolicy::OnIdle(
-    const ServerView& view, const std::vector<const TracedQuery*>& buffer) {
-  if (own_ws_ == nullptr) {
-    own_ws_ = std::make_unique<PlanWorkspace>();
-    own_ws_->state = CreatePlanState();
-  }
-  own_ws_->buffer.clear();
-  for (const TracedQuery* tq : buffer) {
-    own_ws_->buffer.push_back({tq, 0, 0});
-  }
-  PlanOnView(view, own_ws_.get());
-  return std::move(own_ws_->output);
 }
 
 void SchemblePolicy::PlanOnView(const ServerView& view,

@@ -58,14 +58,6 @@ class SchemblePolicy : public ServingPolicy {
   ArrivalDecision OnArrival(const TracedQuery& query,
                             const ServerView& view) override;
 
-  /// Thin wrapper over PlanOnView against a policy-owned workspace; the
-  /// discrete-event driver's entry point. Bit-identical to the off-lock
-  /// path because both share one planning body and scores are
-  /// deterministic per query.
-  PolicyOutput OnIdle(const ServerView& view,
-                      const std::vector<const TracedQuery*>& buffer) override;
-
-  bool SupportsOffLockPlanning() const override { return true; }
   std::unique_ptr<PolicyPlanState> CreatePlanState() const override;
   void PlanOnView(const ServerView& view, PlanWorkspace* ws) const override;
 
@@ -110,9 +102,6 @@ class SchemblePolicy : public ServingPolicy {
   /// the ServingPolicy planning contract.
   mutable std::atomic<SimTime> total_overhead_us_{0};
   mutable std::atomic<int64_t> scheduler_runs_{0};
-  /// Lazily created workspace backing the OnIdle wrapper (single-threaded
-  /// discrete-event callers only).
-  std::unique_ptr<PlanWorkspace> own_ws_;
 };
 
 }  // namespace schemble

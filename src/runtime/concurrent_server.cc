@@ -37,6 +37,9 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   SCHEMBLE_CHECK_GT(options_.speedup, 0.0);
   SCHEMBLE_CHECK_GT(options_.queue_capacity, 0);
   SCHEMBLE_CHECK_GT(options_.inbox_capacity, 0);
+  SCHEMBLE_CHECK_GT(options_.steal_batch, 0);
+  SCHEMBLE_CHECK_GT(options_.rebalance_period, 0);
+  SCHEMBLE_CHECK_GE(options_.max_batch, 0);
   SCHEMBLE_CHECK_GT(options_.num_arrival_threads, 0)
       << "at least one arrival pump is required";
   SCHEMBLE_CHECK_LE(options_.num_arrival_threads, 64)
@@ -66,9 +69,7 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   // round-robin across domains, so replica counts that are multiples of
   // num_domains split evenly and every domain can serve whole subsets.
   const int n_domains = options_.num_domains;
-  std::vector<std::vector<int>> domain_models(n_domains);
-  std::vector<std::vector<int>> domain_ids(n_domains);
-  std::vector<std::vector<ExecutorFault>> domain_faults(n_domains);
+  std::vector<DomainSlice> slices(static_cast<size_t>(n_domains));
   std::vector<int> next_domain(static_cast<size_t>(task_->num_models()), 0);
   std::vector<int> model_replicas(static_cast<size_t>(task_->num_models()),
                                   0);
@@ -79,11 +80,12 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
     const int d = next_domain[static_cast<size_t>(model)];
     next_domain[static_cast<size_t>(model)] = (d + 1) % n_domains;
     ++model_replicas[static_cast<size_t>(model)];
-    domain_models[d].push_back(model);
-    domain_ids[d].push_back(static_cast<int>(e));
+    DomainSlice& slice = slices[static_cast<size_t>(d)];
+    slice.executor_models.push_back(model);
+    slice.executor_ids.push_back(static_cast<int>(e));
     // Faults follow their executor into its domain slice.
     if (!options_.executor_faults.empty()) {
-      domain_faults[d].push_back(options_.executor_faults[e]);
+      slice.faults.push_back(options_.executor_faults[e]);
     }
   }
   for (int k = 0; k < task_->num_models(); ++k) {
@@ -100,43 +102,21 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
       // RoutingPolicy instances are single-caller by contract, so each
       // pump routes through its own instance — no cross-pump
       // synchronization exists at all for hash/round-robin, and the
-      // load-aware kinds read the shared board lock-free.
+      // load-aware kinds read the domains' atomics lock-free.
       for (int p = 0; p < options_.num_arrival_threads; ++p) {
         pump_routers_.push_back(MakeRoutingPolicy(options_.routing));
       }
     }
-    std::vector<int> executors_per_domain(static_cast<size_t>(n_domains));
-    for (int d = 0; d < n_domains; ++d) {
-      executors_per_domain[static_cast<size_t>(d)] =
-          static_cast<int>(domain_models[static_cast<size_t>(d)].size());
-    }
-    load_board_ =
-        std::make_unique<DomainLoadBoard>(std::move(executors_per_domain));
   }
 
   for (int d = 0; d < n_domains; ++d) {
-    SchedulerDomainOptions dom;
-    dom.domain_id = d;
-    dom.num_domains = n_domains;
-    dom.executor_models = std::move(domain_models[d]);
-    dom.executor_ids = std::move(domain_ids[d]);
-    dom.faults = std::move(domain_faults[d]);
-    dom.allow_rejection = options_.allow_rejection;
-    dom.seed = options_.seed;
-    dom.speedup = options_.speedup;
-    dom.queue_capacity = options_.queue_capacity;
-    dom.inbox_capacity = options_.inbox_capacity;
-    dom.service_mode = options_.service_mode;
-    dom.steal_batch = options_.steal_batch;
-    dom.rebalance_period = options_.rebalance_period;
-    dom.batching = options_.batching;
-    dom.max_batch = options_.max_batch;
-    dom.load_board = load_board_.get();
+    DomainSlice& slice = slices[static_cast<size_t>(d)];
+    slice.domain_id = d;
     // The explicit cast happens here, inside a member, because the
     // DomainHost base is private (domains are the only callers).
     domains_.push_back(std::make_unique<SchedulerDomain>(
         *task_, policies_[static_cast<size_t>(d)],
-        static_cast<DomainHost*>(this), std::move(dom)));
+        static_cast<DomainHost*>(this), options_, std::move(slice)));
   }
 }
 
@@ -163,54 +143,14 @@ ConcurrentServer::LockStatsSnapshot ConcurrentServer::lock_stats() const {
 
 ConcurrentServer::SchedulerStatsSnapshot ConcurrentServer::scheduler_stats(
     int domain) const {
-  const SchedulerDomain::StatsSnapshot s =
-      domains_[static_cast<size_t>(domain)]->stats();
-  SchedulerStatsSnapshot snapshot;
-  snapshot.plans = s.plans;
-  snapshot.plan_commits = s.plan_commits;
-  snapshot.plans_invalidated = s.plans_invalidated;
-  snapshot.replans = s.replans;
-  snapshot.replans_skipped = s.replans_skipped;
-  snapshot.steals = s.steals;
-  snapshot.stolen = s.stolen;
-  snapshot.rebalances = s.rebalances;
-  snapshot.donated = s.donated;
-  snapshot.failstops = s.failstops;
-  snapshot.requeues = s.requeues;
-  snapshot.stale_tasks_dropped = s.stale_tasks_dropped;
-  snapshot.batches_executed = s.batches_executed;
-  snapshot.tasks_batched = s.tasks_batched;
-  return snapshot;
+  return domains_[static_cast<size_t>(domain)]->stats();
 }
 
 ConcurrentServer::SchedulerStatsSnapshot ConcurrentServer::scheduler_stats()
     const {
   SchedulerStatsSnapshot total;
-  for (int d = 0; d < num_domains(); ++d) {
-    const SchedulerStatsSnapshot s = scheduler_stats(d);
-    total.plans += s.plans;
-    total.plan_commits += s.plan_commits;
-    total.plans_invalidated += s.plans_invalidated;
-    total.replans += s.replans;
-    total.replans_skipped += s.replans_skipped;
-    total.steals += s.steals;
-    total.stolen += s.stolen;
-    total.rebalances += s.rebalances;
-    total.donated += s.donated;
-    total.failstops += s.failstops;
-    total.requeues += s.requeues;
-    total.stale_tasks_dropped += s.stale_tasks_dropped;
-    total.batches_executed += s.batches_executed;
-    total.tasks_batched += s.tasks_batched;
-  }
+  for (const auto& domain : domains_) total += domain->stats();
   return total;
-}
-
-int ConcurrentServer::query_index(int64_t query_id) const {
-  const auto it = id_to_index_.find(query_id);
-  SCHEMBLE_CHECK(it != id_to_index_.end())
-      << "unknown query id " << query_id;
-  return it->second;
 }
 
 void ConcurrentServer::FinalizeQuery(int domain, int index,
@@ -265,9 +205,14 @@ void ConcurrentServer::ArrivalPumpLoop(int pump) {
     clock_->SleepUntil(head.arrival_time + processing_delay);
     const SimTime now = clock_->Now();
     for (std::vector<int>& r : routed) r.clear();
-    // One lock-free board read per batch, not per query; the pump-local
+    // One lock-free load read per batch, not per query; the pump-local
     // copy is then advanced by in-batch compensation below.
-    if (multi) load_board_->ReadInto(&loads);
+    if (multi) {
+      loads.clear();
+      for (const auto& domain : domains_) {
+        loads.push_back(domain->Load());  // crosses(domain)
+      }
+    }
     // Batched routing: every owned arrival already due is placed in this
     // pass.
     while (i < owned.size()) {
@@ -312,10 +257,6 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   ran_ = true;
   trace_ = &trace;
   const size_t n = trace.items.size();
-  id_to_index_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    id_to_index_[trace.items[i].query.id] = static_cast<int>(i);
-  }
   SimTime horizon = 0;
   for (const TracedQuery& tq : trace.items) {
     horizon = std::max(horizon, tq.arrival_time);

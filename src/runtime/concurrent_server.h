@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -42,10 +41,6 @@ struct ConcurrentServerOptions {
   /// Bounded capacity of each executor's task queue; dispatching threads
   /// block (no spinning) when an executor falls this far behind.
   int queue_capacity = 4096;
-  /// How workers consume a task's service time (see the namespace-scope
-  /// enum; the nested alias preserves the pre-sharding spelling).
-  using ServiceMode = ::schemble::ServiceMode;
-  ServiceMode service_mode = ServiceMode::kSleep;
 
   /// Independent scheduler domains the buffer/scheduler/executors are
   /// sharded into. 1 (the default) reproduces the single-domain runtime.
@@ -109,8 +104,8 @@ struct ConcurrentServerOptions {
 /// Threading model (see DESIGN.md "Sharded runtime" / "Arrival pipeline"):
 ///  - num_arrival_threads arrival pumps replay disjoint round-robin
 ///    partitions of the trace, each placing its queries on domains via its
-///    own RoutingPolicy instance routed against the lock-free
-///    DomainLoadBoard, pushing batches into bounded per-domain MPMC
+///    own RoutingPolicy instance routed against the domains' lock-free
+///    Load() atomics, pushing batches into bounded per-domain MPMC
 ///    inboxes — pumps never touch a domain mutex (lint-enforced).
 ///  - Each domain runs the PR-5 snapshot-planning loop over its shard;
 ///    query-state transitions and the stateful policy calls stay
@@ -161,48 +156,8 @@ class ConcurrentServer : private DomainHost {
   LockStatsSnapshot lock_stats() const;
 
   /// Scheduler telemetry (bench_runtime and the runtime tests read these
-  /// after Run() returns). The planning counters advance only on the
-  /// snapshot-planning path (policies with SupportsOffLockPlanning); the
-  /// stealing/rebalancing counters only with num_domains > 1.
-  struct SchedulerStatsSnapshot {
-    /// Planning rounds run outside the policy mutex.
-    int64_t plans = 0;
-    /// Plan entries that passed generation validation and were committed.
-    int64_t plan_commits = 0;
-    /// Plan entries dropped at commit because the query was assigned,
-    /// finalized or donated while planning ran off-lock.
-    int64_t plans_invalidated = 0;
-    /// Immediate re-plan rounds triggered by invalidated entries.
-    int64_t replans = 0;
-    /// Scheduler rounds elided because the view generation was unchanged
-    /// since the last planned snapshot (see SchedulerDomain).
-    int64_t replans_skipped = 0;
-    /// Work-steal rounds that obtained >= 1 query / queries stolen.
-    int64_t steals = 0;
-    int64_t stolen = 0;
-    /// Rebalance donations: rounds that moved >= 1 query / queries moved.
-    int64_t rebalances = 0;
-    int64_t donated = 0;
-    /// Fault-injection telemetry (stress scenarios): executors that
-    /// fail-stopped, queries re-queued through domain inboxes after a
-    /// failure, and in-flight tasks dropped because their query's
-    /// generation moved on (re-queue or donation) while they serviced.
-    int64_t failstops = 0;
-    int64_t requeues = 0;
-    int64_t stale_tasks_dropped = 0;
-    /// Batched executions performed and tasks they carried (every
-    /// execution counts: a batch of 1 with batching off, so the occupancy
-    /// baseline is exactly 1.0).
-    int64_t batches_executed = 0;
-    int64_t tasks_batched = 0;
-
-    /// Mean tasks per execution; 1.0 when nothing coalesced (or ran).
-    double mean_batch_occupancy() const {
-      return batches_executed > 0 ? static_cast<double>(tasks_batched) /
-                                        static_cast<double>(batches_executed)
-                                  : 1.0;
-    }
-  };
+  /// after Run() returns); see SchedulerDomain::StatsSnapshot.
+  using SchedulerStatsSnapshot = SchedulerDomain::StatsSnapshot;
   /// Summed over all domains.
   SchedulerStatsSnapshot scheduler_stats() const;
   /// One domain's counters (bench_runtime's per-domain stats).
@@ -220,13 +175,12 @@ class ConcurrentServer : private DomainHost {
   // DomainHost interface (domain threads call these).
   const QueryTrace& trace() const override { return *trace_; }
   Clock& clock() override { return *clock_; }
-  int query_index(int64_t query_id) const override;
   void FinalizeQuery(int domain, int index, SubsetMask outputs,
                      SimTime completion) override;
   SchedulerDomain& peer(int domain) override { return *domains_[domain]; }
 
   /// One arrival pump: replays pump_indices_[pump] with its own SleepUntil
-  /// pacing, routing against lock-free DomainLoadBoard reads and pushing
+  /// pacing, routing against lock-free domain Load() reads and pushing
   /// into domain inboxes. Never acquires a domain mutex (lint rule
   /// arrival-pump); the last pump to finish signals ArrivalsDone.
   void ArrivalPumpLoop(int pump);
@@ -234,10 +188,9 @@ class ConcurrentServer : private DomainHost {
   const SyntheticTask* task_;
   std::vector<ServingPolicy*> policies_;
   ConcurrentServerOptions options_;
+  /// Domains read options_ by reference, so it is declared (and thus
+  /// destroyed) before them.
   std::vector<std::unique_ptr<SchedulerDomain>> domains_;
-  /// Per-domain load rows published by domain threads, read lock-free by
-  /// the arrival pumps. Built only for num_domains > 1.
-  std::unique_ptr<DomainLoadBoard> load_board_;
   /// Borrowed custom router (options_.router; single pump only), or null.
   RoutingPolicy* router_ = nullptr;
   /// One built-in router instance per pump (RoutingPolicy instances are
@@ -250,12 +203,6 @@ class ConcurrentServer : private DomainHost {
   std::vector<int64_t> pump_routed_;
   /// Last pump to finish flips this to 0 and broadcasts ArrivalsDone.
   std::atomic<int> pumps_remaining_{0};
-
-  /// Query-id -> trace index. Const-after-init: fully built inside Run()
-  /// BEFORE any thread is spawned and never mutated afterwards, which is
-  /// why domain threads may read it lock-free during plan commits. Any
-  /// write after the threads start is a contract violation.
-  std::unordered_map<int64_t, int> id_to_index_;
 
   std::unique_ptr<SteadyClock> clock_;
   const QueryTrace* trace_ = nullptr;

@@ -16,60 +16,15 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// a is strictly less loaded than b, normalizing by executor count with
-/// exact integer cross-multiplication (no FP, no rounding ties).
-bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b) {
+}  // namespace
+
+bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
+                        int64_t factor) {
   const int64_t load_a = a.inbox + a.buffered + a.queued_tasks;
   const int64_t load_b = b.inbox + b.buffered + b.queued_tasks;
   const int64_t ex_a = a.executors > 0 ? a.executors : 1;
   const int64_t ex_b = b.executors > 0 ? b.executors : 1;
-  return load_a * ex_b < load_b * ex_a;
-}
-
-}  // namespace
-
-DomainLoadBoard::DomainLoadBoard(std::vector<int> executors_per_domain)
-    : rows_(executors_per_domain.size()) {
-  SCHEMBLE_CHECK(!executors_per_domain.empty())
-      << "a load board needs at least one domain row";
-  for (size_t d = 0; d < rows_.size(); ++d) {
-    SCHEMBLE_CHECK_GT(executors_per_domain[d], 0)
-        << "domain " << d << " published with no executors";
-    rows_[d].executors = executors_per_domain[d];
-  }
-}
-
-void DomainLoadBoard::Publish(int domain, int64_t inbox, int64_t buffered,
-                              int64_t queued_tasks) {
-  Row& row = rows_[static_cast<size_t>(domain)];
-  // relaxed-ok: advisory load hints; the epoch release below orders the
-  // fields for acquire readers, and staleness is tolerated by contract
-  row.inbox.store(inbox, std::memory_order_relaxed);
-  row.buffered.store(buffered, std::memory_order_relaxed);
-  row.queued_tasks.store(queued_tasks, std::memory_order_relaxed);
-  row.epoch.fetch_add(1, std::memory_order_release);
-}
-
-void DomainLoadBoard::ReadInto(std::vector<DomainLoad>* loads) const {
-  loads->resize(rows_.size());
-  for (size_t d = 0; d < rows_.size(); ++d) {
-    const Row& row = rows_[d];
-    DomainLoad& load = (*loads)[d];
-    load.domain = static_cast<int>(d);
-    // Acquire the epoch first: the fields then read at least as fresh as
-    // the previous publish (individually approximate by contract).
-    row.epoch.load(std::memory_order_acquire);
-    // relaxed-ok: advisory load hints; readers tolerate staleness by design
-    load.inbox = row.inbox.load(std::memory_order_relaxed);
-    load.buffered = row.buffered.load(std::memory_order_relaxed);
-    load.queued_tasks = row.queued_tasks.load(std::memory_order_relaxed);
-    load.executors = row.executors;
-  }
-}
-
-uint64_t DomainLoadBoard::epoch(int domain) const {
-  return rows_[static_cast<size_t>(domain)].epoch.load(
-      std::memory_order_acquire);
+  return factor * load_a * ex_b < load_b * ex_a;
 }
 
 int HashRouting::Route(const TracedQuery& query, SimTime /*now*/,

@@ -1,7 +1,6 @@
 #ifndef SCHEMBLE_RUNTIME_ROUTING_POLICY_H_
 #define SCHEMBLE_RUNTIME_ROUTING_POLICY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -13,11 +12,11 @@
 
 namespace schemble {
 
-/// Lock-free load summary of one scheduler domain, read by an arrival
-/// pump from the DomainLoadBoard's published atomics. All counts are
-/// instantaneous approximations (each atomic is read independently), which
-/// is exactly what a routing heuristic needs — never read them expecting a
-/// consistent cross-field snapshot.
+/// Load summary of one scheduler domain, filled by an arrival pump from
+/// SchedulerDomain::Load(). All counts are instantaneous approximations
+/// (each atomic is read independently), which is exactly what a routing
+/// heuristic needs — never read them expecting a consistent cross-field
+/// snapshot.
 struct DomainLoad {
   int domain = 0;
   /// Queries routed to the domain but not yet admitted by its scheduler.
@@ -29,69 +28,15 @@ struct DomainLoad {
   int64_t queued_tasks = 0;
   /// Executors owned by the domain; immutable after construction.
   int executors = 0;
-
-  /// Work items per executor, the normalized pressure the load-aware
-  /// policies compare. Returned as a pair (load, executors) comparison is
-  /// done with exact integer cross-multiplication by the policies, so tie
-  /// breaking stays deterministic; this helper is for diagnostics only.
-  double pressure() const {
-    return static_cast<double>(inbox + buffered + queued_tasks) /
-           static_cast<double>(executors > 0 ? executors : 1);
-  }
 };
 
-/// Epoch-stamped, lock-free board of per-domain load summaries: the TIP-
-/// Search-style fast path between the scheduler domains (publishers) and
-/// the arrival pumps (readers). Each domain periodically publishes its own
-/// row — inbox depth, buffered count, queued tasks — from its admitter/
-/// scheduler/worker threads; pumps read the whole board with plain atomic
-/// loads, never a lock and never a synchronous query into a domain.
-///
-/// Staleness contract: a row is at most one publish interval behind its
-/// domain's true load, and different rows may be from different instants.
-/// Load-aware routing tolerates that by construction (a stale pick is a
-/// slightly worse pick, never an unsafe one); per-pump in-batch
-/// compensation on the local copy keeps a single burst from piling onto
-/// one stale winner. The per-row `epoch` increments on every publish
-/// (release; paired with the readers' acquire), so tests can assert
-/// monotonic progress and readers can detect a never-published row.
-class DomainLoadBoard {
- public:
-  /// One row per domain; `executors_per_domain[d]` is immutable and copied
-  /// into every ReadInto result.
-  explicit DomainLoadBoard(std::vector<int> executors_per_domain);
-
-  DomainLoadBoard(const DomainLoadBoard&) = delete;
-  DomainLoadBoard& operator=(const DomainLoadBoard&) = delete;
-
-  int num_domains() const { return static_cast<int>(rows_.size()); }
-
-  /// Publishes domain `d`'s current load counters (any domain thread; the
-  /// row's fields are independent atomics, not a sealed snapshot).
-  void Publish(int domain, int64_t inbox, int64_t buffered,
-               int64_t queued_tasks);
-
-  /// Fills `loads` with every row's latest published values (lock-free,
-  /// wait-free; reuses the vector's capacity). Rows never published read
-  /// as zero load — safe, just routing-blind until the first publish.
-  void ReadInto(std::vector<DomainLoad>* loads) const;
-
-  /// Publish count of one row; strictly monotonic across publishes.
-  uint64_t epoch(int domain) const;
-
- private:
-  /// Cache-line sized so two domains publishing concurrently never
-  /// false-share a row.
-  struct alignas(64) Row {
-    std::atomic<int64_t> inbox{0};
-    std::atomic<int64_t> buffered{0};
-    std::atomic<int64_t> queued_tasks{0};
-    std::atomic<uint64_t> epoch{0};
-    int executors = 0;
-  };
-  /// Sized at construction, never resized (rows hold atomics).
-  std::vector<Row> rows_;
-};
+/// True when `factor` times a's work items per executor (inbox + buffered
+/// + queued tasks) is strictly below b's. Exact integer
+/// cross-multiplication: no FP, no rounding ties. factor 1 is the
+/// least-loaded comparison; the runtime's rebalancer asks for factor 2
+/// ("under half the pressure").
+bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
+                        int64_t factor = 1);
 
 /// Pluggable admission-side query placement: picks the scheduler domain an
 /// arriving query is routed to (the minimal child-picker idiom of the
@@ -104,9 +49,9 @@ class DomainLoadBoard {
 /// instance per pump, never from sharing. Implementations must be
 /// deterministic functions of (query, now, domains) and their own call
 /// history — the routing unit tests replay fixed sequences against a
-/// ManualClock. The load span an instance sees is a pump-local copy of a
-/// DomainLoadBoard read: slightly stale by design, mutated only by the
-/// pump's own in-batch compensation.
+/// ManualClock. The load span an instance sees is a pump-local copy of the
+/// domains' Load() read once per batch: slightly stale by design, mutated
+/// only by the pump's own in-batch compensation.
 class RoutingPolicy {
  public:
   virtual ~RoutingPolicy() = default;

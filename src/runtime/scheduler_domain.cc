@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/hot_path.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "runtime/concurrent_server.h"
 
 namespace schemble {
 namespace {
@@ -24,36 +24,31 @@ std::chrono::microseconds RealDuration(SimTime virtual_us, double speedup) {
 
 SchedulerDomain::SchedulerDomain(const SyntheticTask& task,
                                  ServingPolicy* policy, DomainHost* host,
-                                 SchedulerDomainOptions options)
+                                 const ConcurrentServerOptions& options,
+                                 DomainSlice slice)
     : task_(&task),
       policy_(policy),
       host_(host),
-      options_(std::move(options)),
+      options_(options),
+      slice_(std::move(slice)),
       inbox_(static_cast<size_t>(options_.inbox_capacity), LockRank::kInbox,
              "scheduler_domain.inbox") {
+  // The server validates the shared options; the domain checks its slice.
   SCHEMBLE_CHECK(policy_ != nullptr);
   SCHEMBLE_CHECK(host_ != nullptr);
-  SCHEMBLE_CHECK_GT(options_.speedup, 0.0);
-  SCHEMBLE_CHECK_GT(options_.queue_capacity, 0);
-  SCHEMBLE_CHECK_GT(options_.inbox_capacity, 0);
-  SCHEMBLE_CHECK_GT(options_.steal_batch, 0);
-  SCHEMBLE_CHECK_GT(options_.rebalance_period, 0);
-  SCHEMBLE_CHECK(!options_.executor_models.empty())
+  SCHEMBLE_CHECK(!slice_.executor_models.empty())
       << "a scheduler domain needs at least one executor";
-  SCHEMBLE_CHECK_EQ(options_.executor_models.size(),
-                    options_.executor_ids.size());
-  SCHEMBLE_CHECK(options_.faults.empty() ||
-                 options_.faults.size() == options_.executor_models.size())
+  SCHEMBLE_CHECK_EQ(slice_.executor_models.size(),
+                    slice_.executor_ids.size());
+  SCHEMBLE_CHECK(slice_.faults.empty() ||
+                 slice_.faults.size() == slice_.executor_models.size())
       << "executor fault list must be empty or match the executor count";
-  executors_ = std::vector<Executor>(options_.executor_models.size());
+  executors_ = std::vector<Executor>(slice_.executor_models.size());
   for (size_t e = 0; e < executors_.size(); ++e) {
-    const int model = options_.executor_models[e];
-    SCHEMBLE_CHECK_GE(model, 0);
-    SCHEMBLE_CHECK_LT(model, task_->num_models());
-    executors_[e].model = model;
-    executors_[e].global_id = options_.executor_ids[e];
-    if (!options_.faults.empty()) {
-      const ExecutorFault& fault = options_.faults[e];
+    executors_[e].model = slice_.executor_models[e];
+    executors_[e].global_id = slice_.executor_ids[e];
+    if (!slice_.faults.empty()) {
+      const ExecutorFault& fault = slice_.faults[e];
       SCHEMBLE_CHECK_GT(fault.speed, 0.0);
       SCHEMBLE_CHECK_GE(fault.straggle_factor, 1.0);
       SCHEMBLE_CHECK_GE(fault.straggle_after, 0);
@@ -64,7 +59,6 @@ SchedulerDomain::SchedulerDomain(const SyntheticTask& task,
         static_cast<size_t>(options_.queue_capacity),
         LockRank::kExecutorQueue, "scheduler_domain.executor_queue");
   }
-  SCHEMBLE_CHECK_GE(options_.max_batch, 0);
   if (options_.batching) {
     batch_models_.reserve(static_cast<size_t>(task_->num_models()));
     for (int k = 0; k < task_->num_models(); ++k) {
@@ -83,12 +77,17 @@ SchedulerDomain::~SchedulerDomain() {
   SCHEMBLE_CHECK(threads_.empty());
 }
 
-int64_t SchedulerDomain::queued_tasks() const {
-  int64_t total = 0;
+DomainLoad SchedulerDomain::Load() const {
+  DomainLoad load;
+  load.domain = slice_.domain_id;
+  load.inbox = inbox_depth_.load(std::memory_order_acquire);
+  // relaxed-ok: advisory load hint; readers tolerate staleness by design
+  load.buffered = buffered_count_.load(std::memory_order_relaxed);
   for (const Executor& ex : executors_) {
-    total += ex.queued.load(std::memory_order_acquire);
+    load.queued_tasks += ex.queued.load(std::memory_order_acquire);
   }
-  return total;
+  load.executors = num_executors();
+  return load;
 }
 
 SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
@@ -110,6 +109,25 @@ SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.tasks_batched = tasks_batched_.load(std::memory_order_relaxed);
   return s;
+}
+
+SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
+    const StatsSnapshot& other) {
+  plans += other.plans;
+  plan_commits += other.plan_commits;
+  plans_invalidated += other.plans_invalidated;
+  replans += other.replans;
+  replans_skipped += other.replans_skipped;
+  steals += other.steals;
+  stolen += other.stolen;
+  rebalances += other.rebalances;
+  donated += other.donated;
+  failstops += other.failstops;
+  requeues += other.requeues;
+  stale_tasks_dropped += other.stale_tasks_dropped;
+  batches_executed += other.batches_executed;
+  tasks_batched += other.tasks_batched;
+  return *this;
 }
 
 SimTime SchedulerDomain::BacklogServiceTime(int model, int64_t queued) const {
@@ -177,12 +195,6 @@ size_t SchedulerDomain::TryPushRoutedAll(std::span<const int> indices) {
                            std::memory_order_acq_rel);
   }
   return pushed;
-}
-
-void SchedulerDomain::PublishLoad() {
-  if (options_.load_board == nullptr) return;
-  options_.load_board->Publish(options_.domain_id, inbox_depth(),
-                               buffered_count(), queued_tasks());
 }
 
 size_t SchedulerDomain::StealRouted(std::vector<int>* out, size_t max_items) {
@@ -346,7 +358,7 @@ SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
       }
       SCHEMBLE_CHECK_GE(best, 0)
           << "no live executor for model " << k << " in domain "
-          << options_.domain_id
+          << slice_.domain_id
           << " (fault scenarios must keep >= 1 replica per model alive)";
       scratch->runs[static_cast<size_t>(best)]
           .push_back(  // hot-ok: batch-bounded
@@ -405,7 +417,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
       QueryState& state = states_[static_cast<size_t>(index)];
       SCHEMBLE_CHECK(!state.owned && !state.finalized)
           << "query " << tq.query.id << " routed to domain "
-          << options_.domain_id << " twice";
+          << slice_.domain_id << " twice";
       state.owned = true;
       if (options_.allow_rejection && view->now >= tq.deadline) {
         // The deadline beat admission (the query sat in an inbox or the
@@ -441,7 +453,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
             // candidate set means the model lost its last live replica.
             SCHEMBLE_CHECK(best != nullptr)
                 << "no live executor for model " << k << " in domain "
-                << options_.domain_id << " (fault scenarios must keep >= 1 "
+                << slice_.domain_id << " (fault scenarios must keep >= 1 "
                 << "replica per model alive)";
             // Marginal-backlog advance, matching EnqueueBatch's projection
             // (reduces to one per-task latency with batching off).
@@ -499,13 +511,13 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
   }
   EnqueueBatch(s->to_enqueue, &s->dispatch);
   for (const int index : s->rejects) {
-    host_->FinalizeQuery(options_.domain_id, index, 0, clock_->Now());
+    host_->FinalizeQuery(slice_.domain_id, index, 0, clock_->Now());
   }
   if (pushed_deadlines) deadline_cv_.NotifyAll();
   if (notify_scheduler) scheduler_cv_.NotifyOne();
 }
 
-bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
+bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
                                       uint64_t* last_planned_gen,
                                       PlanWorkspace* plan_ws,
                                       ServerView* view, SchedulerScratch* s) {
@@ -525,7 +537,7 @@ bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
     // skip the whole snapshot -> plan -> commit round. Tick-driven rounds
     // (allow_skip false) and the arrivals-done drain tail always plan, so
     // the force-mode stuck diagnostic below can still fire.
-    if (off_lock && allow_skip && !arrivals_done_ &&
+    if (allow_skip && !arrivals_done_ &&
         view_generation_ == *last_planned_gen) {
       // relaxed-ok: monotonic telemetry counter
       replans_skipped_.fetch_add(1, std::memory_order_relaxed);
@@ -554,83 +566,56 @@ bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
       }
     }
     if (!any_idle) return true;
-    if (off_lock) {
-      // Snapshot -> plan -> validate/commit. The short critical section
-      // only copies state; the policy plans against the immutable
-      // snapshot with the mutex RELEASED, so arrivals and completions
-      // keep flowing while the DP runs.
-      SnapshotBufferLocked(plan_ws);
-      // Remember the snapshot's generation, not the post-commit one: a
-      // foreign bump during the off-lock plan (arrival, completion) must
-      // force the next round to plan against the fresher state.
-      const uint64_t snapshot_gen = view_generation_;
-      lock.Release();
-      // relaxed-ok: monotonic telemetry counter
-      plans_.fetch_add(1, std::memory_order_relaxed);
-      policy_->PlanOnView(*view, plan_ws);
-      overhead = plan_ws->output.overhead_us;
-      lock.Acquire();
-      if (shutdown_) return false;
-      // Validation: a plan entry is committable only if its query's
-      // generation still matches the snapshot — otherwise the deadline
-      // thread, a worker, or a donation moved the query while we planned,
-      // and the entry is stale.
-      int64_t invalidated = 0;
-      for (const BufferedAssignment& assignment :
-           plan_ws->output.assignments) {
-        SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-        const SnapshotQuery* snap = nullptr;
-        for (const SnapshotQuery& candidate : plan_ws->buffer) {
-          if (candidate.traced->query.id == assignment.query_id) {
-            snap = &candidate;
-            break;
-          }
-        }
-        SCHEMBLE_CHECK(snap != nullptr)
-            << "plan references a query outside its snapshot";
-        const QueryState& state = states_[static_cast<size_t>(snap->index)];
-        if (state.generation != snap->generation) {
-          ++invalidated;
-          continue;
-        }
-        SCHEMBLE_DCHECK(!state.finalized && state.assigned == 0u)
-            << "generation matched but the query moved on";
-        CommitLocked(snap->index, assignment.subset);
-        s->commits.push_back({snap->index, assignment.subset});
+    // Snapshot -> plan -> validate/commit. The short critical section
+    // only copies state; the policy plans against the immutable
+    // snapshot with the mutex RELEASED, so arrivals and completions
+    // keep flowing while the DP runs.
+    SnapshotBufferLocked(plan_ws);
+    // Remember the snapshot's generation, not the post-commit one: a
+    // foreign bump during the off-lock plan (arrival, completion) must
+    // force the next round to plan against the fresher state.
+    const uint64_t snapshot_gen = view_generation_;
+    lock.Release();
+    // relaxed-ok: monotonic telemetry counter
+    plans_.fetch_add(1, std::memory_order_relaxed);
+    policy_->PlanOnView(*view, plan_ws);
+    overhead = plan_ws->output.overhead_us;
+    lock.Acquire();
+    if (shutdown_) return false;
+    // Validation: a plan entry is committable only if its query's
+    // generation still matches the snapshot — otherwise the deadline
+    // thread, a worker, or a donation moved the query while we planned,
+    // and the entry is stale.
+    int64_t invalidated = 0;
+    for (const BufferedAssignment& assignment :
+         plan_ws->output.assignments) {
+      SCHEMBLE_CHECK_NE(assignment.subset, 0u);
+      const SnapshotQuery& snap = plan_ws->Find(assignment.query_id);
+      const QueryState& state = states_[static_cast<size_t>(snap.index)];
+      if (state.generation != snap.generation) {
+        ++invalidated;
+        continue;
       }
-      plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
-                              // relaxed-ok: monotonic telemetry counter
-                              std::memory_order_relaxed);
-      if (invalidated > 0) {
-        plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
-        // Part of the plan went stale: immediately re-plan whatever is
-        // still buffered against fresh state (self-signal).
-        if (!buffer_.empty()) {
-          // relaxed-ok: monotonic telemetry counter
-          replans_.fetch_add(1, std::memory_order_relaxed);
-          scheduler_signal_ = true;
-          replanning = true;
-        }
-      }
-      *last_planned_gen = snapshot_gen;
-    } else {
-      // Compatibility path for stateful policies (the baselines): plan
-      // under the mutex, exactly the seed behaviour. No validation is
-      // needed — nothing can move while the lock is held.
-      s->pointers.clear();
-      for (int index : buffer_) {
-        s->pointers.push_back(&trace_->items[static_cast<size_t>(index)]);
-      }
-      const PolicyOutput output =
-          policy_->OnIdle(*view, s->pointers);  // serialized(mu_)
-      for (const BufferedAssignment& assignment : output.assignments) {
-        const int index = host_->query_index(assignment.query_id);
-        SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-        CommitLocked(index, assignment.subset);
-        s->commits.push_back({index, assignment.subset});
-      }
-      overhead = output.overhead_us;
+      SCHEMBLE_DCHECK(!state.finalized && state.assigned == 0u)
+          << "generation matched but the query moved on";
+      CommitLocked(snap.index, assignment.subset);
+      s->commits.push_back({snap.index, assignment.subset});
     }
+    plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
+                            // relaxed-ok: monotonic telemetry counter
+                            std::memory_order_relaxed);
+    if (invalidated > 0) {
+      plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
+      // Part of the plan went stale: immediately re-plan whatever is
+      // still buffered against fresh state (self-signal).
+      if (!buffer_.empty()) {
+        // relaxed-ok: monotonic telemetry counter
+        replans_.fetch_add(1, std::memory_order_relaxed);
+        scheduler_signal_ = true;
+        replanning = true;
+      }
+    }
+    *last_planned_gen = snapshot_gen;
     idle_and_stuck = s->commits.empty() && arrivals_done_ && !buffer_.empty();
     // Snapshot for the off-lock error log below: buffer_ is guarded and
     // workers may finalize (and un-buffer) queries concurrently.
@@ -643,7 +628,7 @@ bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
     if (overhead > 0) clock_->SleepFor(overhead);
     EnqueueBatch(s->commits, &s->dispatch);
   } else if (idle_and_stuck && !replanning && !options_.allow_rejection &&
-             options_.num_domains == 1) {
+             host_->num_domains() == 1) {
     // Force mode has no deadline thread to finalize abandoned queries; a
     // policy that leaves the buffer untouched forever would hang the run.
     // Multi-domain configurations suppress the log: a stuck shard is
@@ -678,7 +663,7 @@ void SchedulerDomain::MaybeSteal(ServerView* view, SchedulerScratch* s) {
   int victim = -1;
   int64_t deepest = 0;
   for (int d = 0; d < host_->num_domains(); ++d) {
-    if (d == options_.domain_id) continue;
+    if (d == slice_.domain_id) continue;
     const int64_t depth = host_->peer(d).inbox_depth();  // crosses(domain)
     if (depth > deepest) {
       deepest = depth;
@@ -702,34 +687,21 @@ void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
   {
     MutexLock lock(&mu_);
     if (shutdown_) return;
-    const int64_t local_buffered = static_cast<int64_t>(buffer_.size());
     // Only shed load when the buffer is deep relative to our executor
     // slice — a couple of in-flight plans' worth stays local.
-    if (local_buffered <= 2 * static_cast<int64_t>(executors_.size())) {
-      return;
-    }
-    const int64_t own_load = local_buffered +
-                             inbox_depth_.load(std::memory_order_acquire) +
-                             queued_tasks();
-    const int64_t own_ex = static_cast<int64_t>(executors_.size());
-    int64_t best_load = 0;
-    int64_t best_ex = 1;
+    if (buffer_.size() <= 2 * executors_.size()) return;
+    DomainLoad best;
     for (int d = 0; d < host_->num_domains(); ++d) {
-      if (d == options_.domain_id) continue;
-      SchedulerDomain& p = host_->peer(d);  // crosses(domain)
-      const int64_t load =
-          p.inbox_depth() + p.buffered_count() + p.queued_tasks();
-      const int64_t ex = std::max(p.num_executors(), 1);
-      // Normalized compare via integer cross-multiplication.
-      if (target < 0 || load * best_ex < best_load * ex) {
+      if (d == slice_.domain_id) continue;
+      const DomainLoad load = host_->peer(d).Load();  // crosses(domain)
+      if (target < 0 || StrictlyLessLoaded(load, best)) {
         target = d;
-        best_load = load;
-        best_ex = ex;
+        best = load;
       }
     }
     // Donate only into a pronounced imbalance: the recipient must sit
     // under half our normalized pressure, so balanced systems never churn.
-    if (target < 0 || !(2 * best_load * own_ex < own_load * best_ex)) {
+    if (target < 0 || !StrictlyLessLoaded(best, Load(), /*factor=*/2)) {
       return;
     }
     const size_t batch =
@@ -816,16 +788,14 @@ void SchedulerDomain::AdmitterLoop() {
     inbox_depth_.fetch_sub(static_cast<int64_t>(drained),
                            std::memory_order_acq_rel);
     AdmitBatch(scratch.incoming, &view, &scratch);
-    PublishLoad();
   }
 }
 
 void SchedulerDomain::SchedulerLoop() {
-  const bool off_lock = policy_->SupportsOffLockPlanning();
-  const bool multi = options_.num_domains > 1;
+  const bool multi = host_->num_domains() > 1;
   const auto tick = RealDuration(options_.rebalance_period, options_.speedup);
   PlanWorkspace plan_ws;
-  if (off_lock) plan_ws.state = policy_->CreatePlanState();
+  plan_ws.state = policy_->CreatePlanState();
   ServerView view;
   SchedulerScratch scratch;
   SimTime last_rebalance = 0;
@@ -856,8 +826,8 @@ void SchedulerDomain::SchedulerLoop() {
     // Tick-driven rounds never skip: the periodic scan is also the
     // backstop that re-plans after pure time passage (availability
     // projections age even when no generation-bumping event fired).
-    if (!PlanAndDispatch(off_lock, !tick_fired, &last_planned_gen, &plan_ws,
-                         &view, &scratch)) {
+    if (!PlanAndDispatch(!tick_fired, &last_planned_gen, &plan_ws, &view,
+                         &scratch)) {
       return;
     }
 
@@ -870,7 +840,6 @@ void SchedulerDomain::SchedulerLoop() {
         MaybeRebalance(&scratch);
       }
     }
-    PublishLoad();
   }
 }
 
@@ -903,7 +872,7 @@ void SchedulerDomain::DeadlineLoop() {
     const SimTime completion =
         outputs != 0 ? state.last_done_time : clock_->Now();
     lock.Release();
-    host_->FinalizeQuery(options_.domain_id, index, outputs, completion);
+    host_->FinalizeQuery(slice_.domain_id, index, outputs, completion);
     lock.Acquire();
   }
 }
@@ -1006,18 +975,7 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
           static_cast<SimTime>(static_cast<double>(nominal) * factor);
       ex.busy_until.store(start + service, std::memory_order_release);
       ex.busy.store(true, std::memory_order_release);
-      if (options_.service_mode == ServiceMode::kSleep) {
-        clock_->SleepUntil(start + service);
-      } else {
-        // Host-bound inference: burn CPU until the service interval
-        // passes.
-        volatile double sink = 0.0;
-        while (clock_->Now() < start + service) {
-          double acc = sink;
-          for (int it = 0; it < 256; ++it) acc += std::sqrt(acc + it);
-          sink = acc;
-        }
-      }
+      clock_->SleepUntil(start + service);
       ex.busy.store(false, std::memory_order_release);
       // relaxed-ok: advisory backlog hint; a stale read only delays a steal
       batches_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -1033,7 +991,7 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
       {
         MutexLock lock(&mu_);
         for (const Task& task : batch.tasks) {
-          const int index = task.query_index;
+          const int index = task.index;
           QueryState& state = states_[static_cast<size_t>(index)];
           if (!state.finalized && state.generation == task.generation) {
             state.done |= SubsetMask{1} << ex.model;
@@ -1064,11 +1022,10 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
         }
       }
       for (const Done& done : finalizes) {
-        host_->FinalizeQuery(options_.domain_id, done.index, done.outputs,
+        host_->FinalizeQuery(slice_.domain_id, done.index, done.outputs,
                              done.completion);
       }
       if (notify) scheduler_cv_.NotifyOne();
-      PublishLoad();
     }
   }
 }
@@ -1102,7 +1059,7 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
   {
     MutexLock lock(&mu_);
     for (const Task& task : tasks) {
-      QueryState& state = states_[static_cast<size_t>(task.query_index)];
+      QueryState& state = states_[static_cast<size_t>(task.index)];
       if (state.finalized || state.generation != task.generation) {
         // Finalized (deadline miss / shutdown drain) or already re-queued
         // via a sibling task of the same query: nothing left to recover.
@@ -1115,7 +1072,7 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
       // leaked past the generation discipline.
       SCHEMBLE_CHECK(state.owned && !state.buffered && state.assigned != 0u)
           << "re-queued task for query in impossible state (domain "
-          << options_.domain_id << ")";
+          << slice_.domain_id << ")";
       // Full readmission: wipe the assignment (sibling in-flight tasks of
       // the old subset turn stale via the generation bump and are dropped
       // at completion) and send the query back through the domain inbox so
@@ -1124,7 +1081,7 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
       state.done = 0;
       state.owned = false;
       ++state.generation;
-      to_route.push_back(task.query_index);
+      to_route.push_back(task.index);
     }
     // The wiped assignments freed executor capacity the planner projected
     // as consumed: never let a pending skip hide the recovery replan.

@@ -21,12 +21,7 @@
 namespace schemble {
 
 class SchedulerDomain;
-
-/// How workers consume a task's service time. kSleep blocks on the OS
-/// timer (models accelerator-offloaded inference; scales past the host
-/// core count). kSpin burns CPU for the duration (models host-bound
-/// inference; scales only with real cores).
-enum class ServiceMode { kSleep, kSpin };
+struct ConcurrentServerOptions;
 
 /// Fault-injection profile of one executor (the stress harness's scenario
 /// dimensions; see DESIGN.md "Randomized stress harness"). The default is
@@ -61,8 +56,6 @@ class DomainHost {
 
   virtual const QueryTrace& trace() const = 0;
   virtual Clock& clock() = 0;
-  /// Trace index for a query id (const-after-init map, lock-free reads).
-  virtual int query_index(int64_t query_id) const = 0;
   /// Records the final outcome of query `index` (aggregation, accuracy,
   /// metrics, run-completion accounting). Exactly-once per query across
   /// ALL domains — a second call for the same index is a CHECK failure,
@@ -74,13 +67,11 @@ class DomainHost {
   virtual int num_domains() const = 0;
 };
 
-/// Per-domain slice of the server configuration (see
-/// ConcurrentServerOptions for field semantics shared with the
-/// single-domain server).
-struct SchedulerDomainOptions {
+/// The part of the deployment one domain owns. Everything else a domain
+/// reads from the server's ConcurrentServerOptions.
+struct DomainSlice {
   int domain_id = 0;
-  int num_domains = 1;
-  /// This domain's executor slice: global base-model index per executor.
+  /// Global base-model index per executor of this domain.
   std::vector<int> executor_models;
   /// Matching global executor ids (seed the per-worker RNG streams so the
   /// single-domain configuration reproduces the pre-sharding streams).
@@ -88,33 +79,6 @@ struct SchedulerDomainOptions {
   /// Per-executor fault profile, parallel to executor_models. Empty means
   /// every executor is clean.
   std::vector<ExecutorFault> faults;
-  bool allow_rejection = true;
-  uint64_t seed = 97;
-  double speedup = 1.0;
-  int queue_capacity = 4096;
-  /// Bounded capacity of the routed-arrival inbox.
-  int inbox_capacity = 4096;
-  ServiceMode service_mode = ServiceMode::kSleep;
-  /// Max queries moved per steal / per donation round.
-  int steal_batch = 16;
-  /// Virtual period of the scheduler's rebalance tick (multi-domain only):
-  /// how often an otherwise-idle domain scans peers to steal from and an
-  /// overloaded one considers donating buffered queries.
-  SimTime rebalance_period = 10 * kMillisecond;
-  /// Cross-query batching: workers coalesce compatible same-model tasks
-  /// from their queue into one batched execution priced by the model's
-  /// BatchLatencyModel, and planning/dispatch project availability with
-  /// coalesced service time. Off (the default) keeps the per-task path
-  /// bit-identical to the pre-batching runtime.
-  bool batching = false;
-  /// Caps every model's batch size when > 0 (0 keeps each profile's own
-  /// max_batch). 1 forces unbatched semantics on the batched path — used
-  /// by the equivalence tests.
-  int max_batch = 0;
-  /// Shared load board this domain publishes its row into (arrival pumps
-  /// route against it lock-free). Borrowed from the owning server; null
-  /// (single-domain runs) disables publishing entirely.
-  DomainLoadBoard* load_board = nullptr;
 };
 
 /// One scheduling domain of the sharded concurrent runtime: a shard of the
@@ -140,8 +104,11 @@ struct SchedulerDomainOptions {
 /// exactly-once finalize CHECK enforces it.
 class SchedulerDomain {
  public:
+  /// `options` is the owning server's configuration and must outlive the
+  /// domain.
   SchedulerDomain(const SyntheticTask& task, ServingPolicy* policy,
-                  DomainHost* host, SchedulerDomainOptions options);
+                  DomainHost* host, const ConcurrentServerOptions& options,
+                  DomainSlice slice);
   ~SchedulerDomain();
 
   SchedulerDomain(const SchedulerDomain&) = delete;
@@ -175,26 +142,31 @@ class SchedulerDomain {
   /// Signals that the admission thread has routed the whole trace.
   void ArrivalsDone() SCHEMBLE_EXCLUDES(mu_);
 
-  /// Published load counters (lock-free, individually approximate) — the
-  /// inputs to RoutingPolicy's DomainLoad and to peer steal/donate
-  /// decisions.
+  /// Published inbox occupancy (lock-free, approximate): what a thief
+  /// compares when picking the peer to steal from.
   int64_t inbox_depth() const {
     return inbox_depth_.load(std::memory_order_acquire);
   }
-  int64_t buffered_count() const {
-    // relaxed-ok: advisory load hint; readers tolerate staleness by design
-    return buffered_count_.load(std::memory_order_relaxed);
-  }
-  int64_t queued_tasks() const;
+  /// This domain's load, read straight from the atomics its threads
+  /// already maintain (inbox depth, buffered count, executor queue
+  /// depths). Lock-free and individually approximate: each counter is
+  /// read independently, never as a consistent snapshot. Arrival pumps
+  /// route on it and peers rebalance on it.
+  DomainLoad Load() const;
   int num_executors() const { return static_cast<int>(executors_.size()); }
-  int domain_id() const { return options_.domain_id; }
 
   /// Scheduler telemetry; safe to read after the run drains (or any time,
-  /// with per-counter consistency only).
+  /// with per-counter consistency only). The stealing/rebalancing
+  /// counters only advance with num_domains > 1.
   struct StatsSnapshot {
+    /// Planning rounds run outside the domain mutex.
     int64_t plans = 0;
+    /// Plan entries that passed generation validation and were committed.
     int64_t plan_commits = 0;
+    /// Plan entries dropped at commit because the query was assigned,
+    /// finalized or donated while planning ran off-lock.
     int64_t plans_invalidated = 0;
+    /// Immediate re-plan rounds triggered by invalidated entries.
     int64_t replans = 0;
     /// Scheduler rounds that skipped PlanOnView entirely because the view
     /// generation was unchanged since the last planned snapshot (no
@@ -221,6 +193,15 @@ class SchedulerDomain {
     /// exactly 1.0 on the unbatched path.
     int64_t batches_executed = 0;
     int64_t tasks_batched = 0;
+
+    /// Mean tasks per execution; 1.0 when nothing coalesced (or ran).
+    double mean_batch_occupancy() const {
+      return batches_executed > 0 ? static_cast<double>(tasks_batched) /
+                                        static_cast<double>(batches_executed)
+                                  : 1.0;
+    }
+    /// Field-wise sum (the server's all-domain totals).
+    StatsSnapshot& operator+=(const StatsSnapshot& other);
   };
   StatsSnapshot stats() const;
   Mutex::Stats lock_stats() const { return mu_.stats(); }
@@ -232,15 +213,15 @@ class SchedulerDomain {
   /// orphaned by a re-queue-and-reassign cycle are dropped instead of
   /// corrupting the new assignment's done mask.
   struct Task {
-    int query_index = 0;
+    int index = 0;
     uint64_t generation = 0;
   };
 
   struct Executor {
     int model = 0;
-    /// Global executor id (RNG stream seed), from options_.executor_ids.
+    /// Global executor id (RNG stream seed), from slice_.executor_ids.
     int global_id = 0;
-    /// Fault profile (clean by default), from options_.faults.
+    /// Fault profile (clean by default), from slice_.faults.
     ExecutorFault fault;
     std::unique_ptr<MpmcQueue<Task>> queue;
     /// Virtual time when the in-flight task (if any) finishes; 0 if idle.
@@ -310,7 +291,6 @@ class SchedulerDomain {
     std::vector<Commit> to_enqueue;
     std::vector<int> rejects;
     std::vector<Commit> commits;
-    std::vector<const TracedQuery*> pointers;
     std::vector<int> donations;
     DispatchScratch dispatch;
   };
@@ -327,15 +307,13 @@ class SchedulerDomain {
   void AdmitBatch(const std::vector<int>& indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
-  /// shard (or the serialized OnIdle fallback). Returns false on shutdown.
-  /// When `allow_skip` is set and the view generation equals
-  /// `*last_planned_gen`, the off-lock round is elided entirely (counted
-  /// in replans_skipped); the snapshot's generation is written back to
-  /// `*last_planned_gen` after every planned round.
-  bool PlanAndDispatch(bool off_lock, bool allow_skip,
-                       uint64_t* last_planned_gen, PlanWorkspace* plan_ws,
-                       ServerView* view, SchedulerScratch* s)
-      SCHEMBLE_EXCLUDES(mu_);
+  /// shard. Returns false on shutdown. When `allow_skip` is set and the
+  /// view generation equals `*last_planned_gen`, the round is elided
+  /// entirely (counted in replans_skipped); the snapshot's generation is
+  /// written back to `*last_planned_gen` after every planned round.
+  bool PlanAndDispatch(bool allow_skip, uint64_t* last_planned_gen,
+                       PlanWorkspace* plan_ws, ServerView* view,
+                       SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// Thief side of work-stealing: when this domain has nothing buffered,
   /// nothing routed and an idle executor, pull a batch out of the deepest
   /// peer inbox and admit it here.
@@ -387,11 +365,6 @@ class SchedulerDomain {
   /// lost. Stale tasks (query re-queued by a sibling failure, finalized,
   /// or re-assigned since dispatch) are dropped and counted.
   void RequeueTasks(const std::vector<Task>& tasks) SCHEMBLE_EXCLUDES(mu_);
-  /// Publishes this domain's load row (inbox depth, buffered count, queued
-  /// tasks) into the shared DomainLoadBoard; no-op when no board is wired.
-  /// Called off-lock from the admitter, scheduler and worker loops — the
-  /// counters it reads are the published atomics, never guarded state.
-  void PublishLoad();
   void PublishBufferedLocked() SCHEMBLE_REQUIRES(mu_) {
     buffered_count_.store(static_cast<int64_t>(buffer_.size()),
                           // relaxed-ok: advisory load hint; readers tolerate staleness by design
@@ -401,7 +374,8 @@ class SchedulerDomain {
   const SyntheticTask* task_;
   ServingPolicy* policy_;
   DomainHost* host_;
-  SchedulerDomainOptions options_;
+  const ConcurrentServerOptions& options_;
+  DomainSlice slice_;
   std::vector<Executor> executors_;
   /// Per-model batch latency curves (profile-calibrated, max_batch clamped
   /// by options_.max_batch). Built iff options_.batching; empty means every

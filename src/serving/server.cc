@@ -74,10 +74,7 @@ ServingMetrics EnsembleServer::Run(const QueryTrace& trace) {
   metrics_ = ServingMetrics{};
   metrics_.latency_ms.Reserve(trace.items.size());
   buffer_.clear();
-  id_to_index_.clear();
-  for (size_t i = 0; i < trace.items.size(); ++i) {
-    id_to_index_[trace.items[i].query.id] = static_cast<int>(i);
-  }
+  plan_ws_.state = policy_->CreatePlanState();
 
   const SimTime processing_delay = policy_->ArrivalProcessingDelay();
   for (size_t i = 0; i < trace.items.size(); ++i) {
@@ -210,15 +207,16 @@ void EnsembleServer::DrainBuffer() {
   if (draining_) return;
   draining_ = true;
   const ServerView view = BuildView();
-  std::vector<const TracedQuery*> pointers;
-  pointers.reserve(buffer_.size());
-  for (int index : buffer_) pointers.push_back(&trace_->items[index]);
-  const PolicyOutput output = policy_->OnIdle(view, pointers);
+  plan_ws_.buffer.clear();
+  for (int index : buffer_) {
+    plan_ws_.buffer.push_back({&trace_->items[index], index, 0});
+  }
+  policy_->PlanOnView(view, &plan_ws_);
+  const PolicyOutput& output = plan_ws_.output;
   for (const BufferedAssignment& assignment : output.assignments) {
-    auto it = id_to_index_.find(assignment.query_id);
-    SCHEMBLE_CHECK(it != id_to_index_.end());
     SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-    Commit(it->second, assignment.subset, output.overhead_us);
+    Commit(plan_ws_.Find(assignment.query_id).index, assignment.subset,
+           output.overhead_us);
   }
   draining_ = false;
 }

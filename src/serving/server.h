@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "core/aggregation.h"
@@ -86,7 +85,9 @@ class EnsembleServer {
   std::vector<Executor> executors_;
   std::vector<QueryState> states_;
   std::vector<int> buffer_;  // query indices in arrival order
-  std::unordered_map<int64_t, int> id_to_index_;
+  /// Reused by every DrainBuffer: the buffer snapshot PlanOnView reads,
+  /// the plan it writes, and the policy's planning state for the run.
+  PlanWorkspace plan_ws_;
   ServingMetrics metrics_;
   /// Reused across every Finalize call: the single-threaded simulator
   /// finalizes queries one at a time, so one workspace serves the run.

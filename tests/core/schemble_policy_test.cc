@@ -48,6 +48,18 @@ class SchemblePolicyTest : public ::testing::Test {
     return tq;
   }
 
+  /// Plans `buffer` through PlanOnView on a fresh CreatePlanState()
+  /// workspace, the way both servers do.
+  static PolicyOutput Plan(const SchemblePolicy& policy,
+                           const ServerView& view,
+                           const std::vector<const TracedQuery*>& buffer) {
+    PlanWorkspace ws;
+    ws.state = policy.CreatePlanState();
+    for (const TracedQuery* tq : buffer) ws.buffer.push_back({tq, 0, 0});
+    policy.PlanOnView(view, &ws);
+    return ws.output;
+  }
+
   SchemblePolicy MakeOraclePolicy(SchembleConfig config = {}) const {
     config.score_source = ScoreSource::kOracle;
     return SchemblePolicy(*task_, *profile_, nullptr, scorer_.get(),
@@ -110,7 +122,7 @@ TEST_F(SchemblePolicyTest, OnIdleCommitsPlanEntries) {
   policy.OnArrival(tq1, view);
   policy.OnArrival(tq2, view);
   std::vector<const TracedQuery*> buffer = {&tq1, &tq2};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   ASSERT_FALSE(output.assignments.empty());
   // The earliest-deadline query must be dispatched on the idle model.
   EXPECT_EQ(output.assignments[0].query_id, 10);
@@ -127,7 +139,7 @@ TEST_F(SchemblePolicyTest, DpOverheadChargedAndAccumulated) {
   const TracedQuery tq = MakeTraced(20, 0.2, 0, 500 * kMillisecond);
   policy.OnArrival(tq, view);
   std::vector<const TracedQuery*> buffer = {&tq};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   EXPECT_GT(output.overhead_us, 0);
   EXPECT_EQ(policy.total_overhead_us(), output.overhead_us);
 }
@@ -143,7 +155,7 @@ TEST_F(SchemblePolicyTest, GreedyVariantProducesAssignments) {
   const TracedQuery tq = MakeTraced(30, 0.3, 0, 200 * kMillisecond);
   policy.OnArrival(tq, view);
   std::vector<const TracedQuery*> buffer = {&tq};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   EXPECT_FALSE(output.assignments.empty());
   EXPECT_EQ(output.overhead_us, 0);  // greedy is charged as free
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "core/discrepancy.h"
 #include "core/schemble_policy.h"
 #include "models/task_factory.h"
+#include "serving/server.h"
 #include "stress/host.h"
 #include "workload/trace.h"
 #include "workload/traffic.h"
@@ -214,8 +216,6 @@ class SlowPlanPolicy : public ServingPolicy {
     return ArrivalDecision::Buffer();
   }
 
-  bool SupportsOffLockPlanning() const override { return true; }
-
   std::unique_ptr<PolicyPlanState> CreatePlanState() const override {
     return std::make_unique<PolicyPlanState>();
   }
@@ -254,6 +254,65 @@ TEST_F(ConcurrentServerTest, PlanInvalidationRaceIsDetected) {
   EXPECT_GE(sched.plans_invalidated, 1);
   // Every query still resolves exactly once despite the churn.
   EXPECT_EQ(metrics.total, trace.size());
+}
+
+/// Buffers every query and plans the whole snapshot onto the full
+/// ensemble through PlanOnView. Overrides the legacy OnIdle hook only to
+/// count calls: neither server may ever make one.
+class CountingPlanPolicy : public ServingPolicy {
+ public:
+  std::string name() const override { return "counting-plan"; }
+
+  ArrivalDecision OnArrival(const TracedQuery& /*query*/,
+                            const ServerView& /*view*/) override {
+    return ArrivalDecision::Buffer();
+  }
+
+  PolicyOutput OnIdle(
+      const ServerView& /*view*/,
+      const std::vector<const TracedQuery*>& /*buffer*/) override {
+    on_idle_calls.fetch_add(1);
+    return {};
+  }
+
+  void PlanOnView(const ServerView& view, PlanWorkspace* ws) const override {
+    plan_calls.fetch_add(1);
+    ws->output.assignments.clear();
+    ws->output.overhead_us = 0;
+    for (const SnapshotQuery& snap : ws->buffer) {
+      ws->output.assignments.push_back(
+          {snap.traced->query.id, FullMask(view.num_models())});
+    }
+  }
+
+  // PlanOnView runs on a scheduler thread concurrently with OnArrival.
+  mutable std::atomic<int64_t> plan_calls{0};
+  std::atomic<int64_t> on_idle_calls{0};
+};
+
+TEST_F(ConcurrentServerTest, BothServersPlanOnlyThroughPlanOnView) {
+  const QueryTrace trace = MakeTrace(5.0, 10 * kSecond, 10 * kSecond);
+  ASSERT_GT(trace.size(), 0);
+
+  CountingPlanPolicy simulated;
+  ServerOptions sim_options;
+  sim_options.allow_rejection = false;
+  const ServingMetrics sim_metrics =
+      EnsembleServer(*task_, &simulated, sim_options).Run(trace);
+  EXPECT_EQ(sim_metrics.processed, trace.size());
+  EXPECT_GE(simulated.plan_calls.load(), 1);
+  EXPECT_EQ(simulated.on_idle_calls.load(), 0);
+
+  CountingPlanPolicy threaded;
+  ConcurrentServerOptions options;
+  options.allow_rejection = false;
+  options.speedup = 100.0;
+  ConcurrentServer server(*task_, &threaded, options);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+  EXPECT_GE(threaded.plan_calls.load(), 1);
+  EXPECT_EQ(threaded.on_idle_calls.load(), 0);
 }
 
 class ConcurrentSchembleTest : public ::testing::Test {

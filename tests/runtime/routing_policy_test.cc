@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "simcore/clock.h"
@@ -146,6 +144,21 @@ TEST(RoutingPolicyFactoryTest, MakesEveryKindWithMatchingName) {
             "deadline-class");
 }
 
+TEST(StrictlyLessLoadedTest, NormalizesByExecutorsAndScalesByFactor) {
+  std::vector<DomainLoad> loads = UniformDomains(2);
+  loads[0].buffered = 4;  // 2 items per executor
+  loads[1].executors = 4;
+  loads[1].queued_tasks = 12;  // 3 items per executor
+  EXPECT_TRUE(StrictlyLessLoaded(loads[0], loads[1]));
+  EXPECT_FALSE(StrictlyLessLoaded(loads[1], loads[0]));
+  // Under half the pressure is a stricter bar: 2 * 2 < 3 fails.
+  EXPECT_FALSE(StrictlyLessLoaded(loads[0], loads[1], /*factor=*/2));
+  loads[1].queued_tasks = 20;  // 5 items per executor
+  EXPECT_TRUE(StrictlyLessLoaded(loads[0], loads[1], /*factor=*/2));
+  // Equal pressure is never strictly less.
+  EXPECT_FALSE(StrictlyLessLoaded(loads[0], loads[0]));
+}
+
 TEST(RoutingPolicyFactoryTest, SingleDomainAlwaysRoutesToZero) {
   const auto domains = UniformDomains(1);
   for (RoutingPolicyKind kind :
@@ -158,108 +171,6 @@ TEST(RoutingPolicyFactoryTest, SingleDomainAlwaysRoutesToZero) {
                 0)
           << policy->name();
     }
-  }
-}
-
-TEST(DomainLoadBoardTest, UnpublishedRowsReadAsZeroLoad) {
-  DomainLoadBoard board({2, 4, 8});
-  EXPECT_EQ(board.num_domains(), 3);
-  std::vector<DomainLoad> loads;
-  board.ReadInto(&loads);
-  ASSERT_EQ(loads.size(), 3u);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_EQ(loads[static_cast<size_t>(d)].domain, d);
-    EXPECT_EQ(loads[static_cast<size_t>(d)].inbox, 0);
-    EXPECT_EQ(loads[static_cast<size_t>(d)].buffered, 0);
-    EXPECT_EQ(loads[static_cast<size_t>(d)].queued_tasks, 0);
-    EXPECT_EQ(board.epoch(d), 0u);
-  }
-  // Executor counts come from construction, never from publishes.
-  EXPECT_EQ(loads[0].executors, 2);
-  EXPECT_EQ(loads[1].executors, 4);
-  EXPECT_EQ(loads[2].executors, 8);
-}
-
-TEST(DomainLoadBoardTest, ReadSeesLatestPublishAndEpochIsMonotonic) {
-  DomainLoadBoard board({2, 2});
-  std::vector<DomainLoad> loads;
-  uint64_t last_epoch = 0;
-  for (int round = 1; round <= 5; ++round) {
-    board.Publish(1, /*inbox=*/round, /*buffered=*/round * 10,
-                  /*queued_tasks=*/round * 100);
-    EXPECT_GT(board.epoch(1), last_epoch);
-    last_epoch = board.epoch(1);
-    board.ReadInto(&loads);
-    EXPECT_EQ(loads[1].inbox, round);
-    EXPECT_EQ(loads[1].buffered, round * 10);
-    EXPECT_EQ(loads[1].queued_tasks, round * 100);
-    // Domain 0 never published; its row stays untouched.
-    EXPECT_EQ(loads[0].inbox, 0);
-    EXPECT_EQ(board.epoch(0), 0u);
-  }
-  EXPECT_EQ(last_epoch, 5u);
-}
-
-TEST(DomainLoadBoardTest, ConcurrentPublishersAndReadersStayCoherent) {
-  // Two publisher threads hammer their own rows while a reader thread
-  // routes against every snapshot it reads. A stale snapshot may pick a
-  // worse domain but must never yield an out-of-range pick, a negative
-  // counter, or an epoch that moves backwards (the safety half of the
-  // staleness contract; TSan covers the data-race half).
-  DomainLoadBoard board({2, 2});
-  std::atomic<bool> stop{false};
-  auto publisher = [&](int domain) {
-    for (int64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
-      board.Publish(domain, i, i, i);
-    }
-  };
-  std::thread pub0(publisher, 0);
-  std::thread pub1(publisher, 1);
-  LeastLoadedRouting policy;
-  std::vector<DomainLoad> loads;
-  uint64_t last_epoch0 = 0;
-  for (int i = 0; i < 20000; ++i) {
-    board.ReadInto(&loads);
-    ASSERT_EQ(loads.size(), 2u);
-    for (const DomainLoad& load : loads) {
-      EXPECT_GE(load.inbox, 0);
-      EXPECT_GE(load.buffered, 0);
-      EXPECT_GE(load.queued_tasks, 0);
-      EXPECT_EQ(load.executors, 2);
-    }
-    const uint64_t epoch0 = board.epoch(0);
-    EXPECT_GE(epoch0, last_epoch0);
-    last_epoch0 = epoch0;
-    const int pick = policy.Route(MakeQuery(i), 0, loads);
-    EXPECT_GE(pick, 0);
-    EXPECT_LT(pick, 2);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  pub0.join();
-  pub1.join();
-}
-
-TEST(DomainLoadBoardTest, StaleSnapshotNeverRoutesToFailedExecutors) {
-  // A domain whose executors have all failed publishes huge load; even a
-  // reader working from a snapshot taken before the failure publish only
-  // ever picks among live rows once it re-reads — and in between, the
-  // stale pick is still a valid domain index (worse, never unsafe).
-  DomainLoadBoard board({2, 2, 2});
-  std::vector<DomainLoad> stale;
-  board.ReadInto(&stale);  // snapshot before any failure is published
-  const int64_t kFailedSentinel = int64_t{1} << 40;
-  board.Publish(0, kFailedSentinel, kFailedSentinel, kFailedSentinel);
-  LeastLoadedRouting policy;
-  // Routing against the stale snapshot may pick domain 0 — allowed, and
-  // in range.
-  const int stale_pick = policy.Route(MakeQuery(1), 0, stale);
-  EXPECT_GE(stale_pick, 0);
-  EXPECT_LT(stale_pick, 3);
-  // After re-reading, the poisoned row loses every comparison.
-  std::vector<DomainLoad> fresh;
-  board.ReadInto(&fresh);
-  for (int64_t id = 0; id < 32; ++id) {
-    EXPECT_NE(policy.Route(MakeQuery(id), 0, fresh), 0) << "id " << id;
   }
 }
 

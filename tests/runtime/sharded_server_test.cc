@@ -300,6 +300,64 @@ TEST(ShardedServerTest, StealRescuesSkewedRouting) {
   EXPECT_EQ(thief.steals, sched.steals);
 }
 
+/// Round-robin placement that records, for every Route call, the domain
+/// index and executor count of each entry of the load span it was given.
+class RecordingRouting final : public RoutingPolicy {
+ public:
+  struct Entry {
+    int domain;
+    int executors;
+  };
+
+  std::string name() const override { return "recording"; }
+  int Route(const TracedQuery&, SimTime,
+            std::span<const DomainLoad> domains) override {
+    std::vector<Entry>& call = calls.emplace_back();
+    for (const DomainLoad& load : domains) {
+      call.push_back({load.domain, load.executors});
+    }
+    return static_cast<int>(calls.size() % domains.size());
+  }
+
+  std::vector<std::vector<Entry>> calls;
+};
+
+TEST(ShardedServerTest, PumpRoutesOnOneLoadEntryPerDomain) {
+  const SyntheticTask task = MakeTextMatchingTask(3);
+  OriginalPolicy policy_a;
+  OriginalPolicy policy_b;
+  OriginalPolicy policy_c;
+  RecordingRouting router;
+  ConcurrentServerOptions options;
+  options.num_domains = 3;
+  // Replicas are dealt round-robin per model, so the domains own 5, 4
+  // and 3 executors: model 0 -> {2,1,1}, model 1 -> {2,2,1}, model 2 ->
+  // {1,1,1}.
+  options.executor_models = {0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2};
+  options.router = &router;
+  options.allow_rejection = false;
+  options.speedup = 100.0;
+  ConcurrentServer server(task, {&policy_a, &policy_b, &policy_c}, options);
+  const QueryTrace trace =
+      MakeSimpleTrace(task, 10.0, 5 * kSecond, 10 * kSecond, 37);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckShardedInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+
+  // One Route call per query (single pump), each against one load entry
+  // per domain, in domain order, carrying that domain's executor count —
+  // before any domain has admitted anything, too.
+  const std::vector<int> executors = {5, 4, 3};
+  ASSERT_EQ(router.calls.size(), trace.size());
+  for (const std::vector<RecordingRouting::Entry>& call : router.calls) {
+    ASSERT_EQ(call.size(), executors.size());
+    for (size_t d = 0; d < call.size(); ++d) {
+      EXPECT_EQ(call[d].domain, static_cast<int>(d));
+      EXPECT_EQ(call[d].executors, executors[d]);
+    }
+  }
+}
+
 class ShardedSchembleTest : public ::testing::Test {
  protected:
   void SetUp() override {

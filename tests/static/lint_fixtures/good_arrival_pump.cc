@@ -1,16 +1,19 @@
 // lint-path: src/runtime/fixture_arrival_pump_ok.cc
 // lint-expect: none
 //
-// The approved arrival-pump shape: route against a lock-free board read,
-// push through the marked inbox surface (non-blocking first, blocking
-// fallback), publish per-pump counters as plain slots read after join.
-// No mutex primitive appears anywhere in the body.
+// The approved arrival-pump shape: route against each domain's lock-free
+// Load() read, push through the marked inbox surface (non-blocking first,
+// blocking fallback), publish per-pump counters as plain slots read after
+// join. No mutex primitive appears anywhere in the body.
 
 namespace schemble {
 
 struct PumpOkFixture {
   void ArrivalPumpLoop(int pump) {
-    board_.ReadInto(&loads_);
+    loads_.clear();
+    for (const Domain& domain : domains_) {
+      loads_.push_back(domain.Load());  // crosses(domain)
+    }
     const int d = router_->Route(pump, loads_);
     const size_t pushed =
         domains_[d].TryPushRoutedAll(batch_);  // crosses(domain)
@@ -20,7 +23,6 @@ struct PumpOkFixture {
     routed_[pump] += 1;
   }
 
-  DomainLoadBoard board_;
   RoutingPolicy* router_ = nullptr;
   std::vector<Domain> domains_;
   std::vector<int> batch_;

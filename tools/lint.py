@@ -30,14 +30,11 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         and nondeterministic parallel reductions are banned.
 
   policy-serialization  Inside src/runtime/, calls to the stateful
-                        ServingPolicy entry points (->OnArrival / ->OnIdle)
-                        must carry a `// serialized(mu_)` marker on the same
-                        or the preceding line, documenting that the call is
-                        made under the policy mutex. Off-lock runtime code
-                        must plan through the const PlanOnView /
-                        CreatePlanState path instead; this rule keeps the
-                        PR-5 under-lock DP solve from being reintroduced
-                        silently.
+                        ServingPolicy entry point ->OnArrival must carry a
+                        `// serialized(mu_)` marker on the same or the
+                        preceding line, documenting that the call is made
+                        under the domain mutex. Planning goes through the
+                        const PlanOnView / CreatePlanState path, off-lock.
 
   domain-crossing       Inside src/runtime/, calls into another scheduler
                         domain's inbox surface (.PushRouted /
@@ -157,7 +154,7 @@ GROWTH_TRACKED_RE = re.compile(r"grow_events|ResizeTracked|GrowTo")
 
 HOT_OK_RE = re.compile(r"//\s*hot-ok:")
 
-POLICY_STATEFUL_RE = re.compile(r"->\s*(OnArrival|OnIdle)\s*\(")
+POLICY_STATEFUL_RE = re.compile(r"->\s*OnArrival\s*\(")
 
 SERIALIZED_OK_RE = re.compile(r"//\s*serialized\(mu_\)")
 
@@ -495,12 +492,10 @@ class Linter:
                 if SERIALIZED_OK_RE.search(raw) or SERIALIZED_OK_RE.search(prev):
                     continue
                 self.error(rel, i, "policy-serialization",
-                           "stateful ServingPolicy entry point called from "
-                           "runtime code without a `// serialized(mu_)` "
-                           "marker; either the call is under the policy "
-                           "mutex (add the marker on this or the preceding "
-                           "line) or it must go through the const "
-                           "PlanOnView / CreatePlanState planning path")
+                           "OnArrival called from runtime code without a "
+                           "`// serialized(mu_)` marker; the call must be "
+                           "under the domain mutex (add the marker on this "
+                           "or the preceding line)")
             for i, raw in enumerate(lines, 1):
                 code = strip_comments_and_strings(raw)
                 if not DOMAIN_CROSSING_RE.search(code):
