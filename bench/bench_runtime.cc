@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "baselines/static_policy.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "core/discrepancy.h"
 #include "core/schemble_policy.h"
@@ -546,37 +547,57 @@ int Main(int argc, char** argv) {
               "(target: >=1.5x, gate: >=1.2x)\n\n",
               batching_speedup);
 
+  // Replan avoidance only fires when a wakeup finds the planning inputs
+  // unchanged, which a single run hits 0-10 times depending on thread
+  // timing; the row repeats and its skip gate reads the total.
+  constexpr int kSchembleRepeats = 5;
   std::printf("schemble policy pressure (oracle scores, DP scheduler, "
-              "rejection mode):\n");
-  TextTable schemble_table({"wall_s", "processed_frac", "sched_runs",
-                            "plans_invalidated", "replans_skipped",
-                            "lock_acq", "lock_held_ms"});
-  const SchemblePoint sp = RunSchemble(50.0);
-  {
+              "rejection mode), %d repeats:\n",
+              kSchembleRepeats);
+  TextTable schemble_table({"repeat", "wall_s", "processed_frac",
+                            "sched_runs", "plans_invalidated",
+                            "replans_skipped", "lock_acq", "lock_held_ms"});
+  SampleSet held_ms, wall_s, processed, runs, invalidated, acq;
+  int64_t replans_skipped_total = 0;
+  for (int r = 0; r < kSchembleRepeats; ++r) {
+    const SchemblePoint sp = RunSchemble(50.0);
+    held_ms.Add(sp.lock.held_ms);
+    wall_s.Add(sp.wall_seconds);
+    processed.Add(sp.processed_fraction);
+    runs.Add(static_cast<double>(sp.scheduler_runs));
+    invalidated.Add(static_cast<double>(sp.sched.plans_invalidated));
+    acq.Add(static_cast<double>(sp.lock.acquisitions));
+    replans_skipped_total += sp.sched.replans_skipped;
     char wall[32], frac[32], held[32];
     std::snprintf(wall, sizeof(wall), "%.2f", sp.wall_seconds);
     std::snprintf(frac, sizeof(frac), "%.3f", sp.processed_fraction);
     std::snprintf(held, sizeof(held), "%.1f", sp.lock.held_ms);
-    schemble_table.AddRow({wall, frac, std::to_string(sp.scheduler_runs),
+    schemble_table.AddRow({std::to_string(r), wall, frac,
+                           std::to_string(sp.scheduler_runs),
                            std::to_string(sp.sched.plans_invalidated),
                            std::to_string(sp.sched.replans_skipped),
                            std::to_string(sp.lock.acquisitions), held});
   }
   schemble_table.Print();
+  std::printf("\nreplans skipped across %d repeats: %lld (gate: > 0)\n\n",
+              kSchembleRepeats, static_cast<long long>(replans_skipped_total));
 
   {
     // The Schemble row pins lock-held time (the number snapshot planning
     // exists to shrink) rather than makespan, which is trace-length-bound.
+    // Every figure is the median over the repeats except replans_skipped,
+    // the total, which the CI ratio gate and the > 0 gate below both read.
     JsonEntry entry;
     entry.name = "BM_RuntimeSchemble/lock_held";
-    entry.value_us = sp.lock.held_ms * 1e3;
+    entry.value_us = held_ms.Quantile(0.5) * 1e3;
     entry.counters = {
-        {"wall_seconds", sp.wall_seconds},
-        {"processed_fraction", sp.processed_fraction},
-        {"scheduler_runs", static_cast<double>(sp.scheduler_runs)},
-        {"plans_invalidated", static_cast<double>(sp.sched.plans_invalidated)},
-        {"replans_skipped", static_cast<double>(sp.sched.replans_skipped)},
-        {"lock_acquisitions", static_cast<double>(sp.lock.acquisitions)},
+        {"wall_seconds", wall_s.Quantile(0.5)},
+        {"processed_fraction", processed.Quantile(0.5)},
+        {"scheduler_runs", runs.Quantile(0.5)},
+        {"plans_invalidated", invalidated.Quantile(0.5)},
+        {"replans_skipped", static_cast<double>(replans_skipped_total)},
+        {"lock_acquisitions", acq.Quantile(0.5)},
+        {"repeats", static_cast<double>(kSchembleRepeats)},
     };
     entries.push_back(std::move(entry));
   }
@@ -595,8 +616,8 @@ int Main(int argc, char** argv) {
     std::printf("FAIL: insufficient multi-pump arrival speedup\n");
     return 1;
   }
-  if (sp.sched.replans_skipped <= 0) {
-    std::printf("FAIL: schemble pressure run skipped no replans\n");
+  if (replans_skipped_total <= 0) {
+    std::printf("FAIL: schemble pressure runs skipped no replans\n");
     return 1;
   }
   if (batching_speedup < 1.2) {

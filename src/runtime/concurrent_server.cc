@@ -305,7 +305,10 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   clock_ = std::make_unique<SteadyClock>(options_.speedup);
   for (const auto& domain : domains_) domain->Start();
   for (int p = 0; p < n_pumps; ++p) {
-    threads_.emplace_back([this, p] { ArrivalPumpLoop(p); });
+    threads_.emplace_back([this, p] {
+      SetExactTimerSlack();
+      ArrivalPumpLoop(p);
+    });
   }
 
   {

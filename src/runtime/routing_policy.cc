@@ -16,15 +16,26 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+int64_t WorkItems(const DomainLoad& d) {
+  return d.inbox + d.buffered + d.queued_tasks;
+}
+
+int64_t Executors(const DomainLoad& d) {
+  return d.executors > 0 ? d.executors : 1;
+}
+
 }  // namespace
 
 bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
                         int64_t factor) {
-  const int64_t load_a = a.inbox + a.buffered + a.queued_tasks;
-  const int64_t load_b = b.inbox + b.buffered + b.queued_tasks;
-  const int64_t ex_a = a.executors > 0 ? a.executors : 1;
-  const int64_t ex_b = b.executors > 0 ? b.executors : 1;
-  return factor * load_a * ex_b < load_b * ex_a;
+  return factor * WorkItems(a) * Executors(b) <
+         WorkItems(b) * Executors(a);
+}
+
+int64_t LevellingTransfer(const DomainLoad& from, const DomainLoad& to) {
+  const int64_t excess =
+      WorkItems(from) * Executors(to) - WorkItems(to) * Executors(from);
+  return excess > 0 ? excess / (Executors(from) + Executors(to)) : 0;
 }
 
 int HashRouting::Route(const TracedQuery& query, SimTime /*now*/,

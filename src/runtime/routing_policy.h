@@ -38,6 +38,13 @@ struct DomainLoad {
 bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
                         int64_t factor = 1);
 
+/// Work items `from` can hand to `to` before the two per-executor loads
+/// cross: floor((load_from * ex_to - load_to * ex_from) / (ex_from +
+/// ex_to)), and 0 when `from` is not the more loaded one. A transfer of at
+/// most this many leaves `from` at least as loaded as `to`, so the
+/// recipient never sees its donor as the less loaded side afterwards.
+int64_t LevellingTransfer(const DomainLoad& from, const DomainLoad& to);
+
 /// Pluggable admission-side query placement: picks the scheduler domain an
 /// arriving query is routed to (the minimal child-picker idiom of the
 /// Pating scheduler xlators — a struct per strategy, one "pick a child"

@@ -12,13 +12,12 @@
 namespace schemble {
 namespace {
 
-/// Real-clock duration of `virtual_us` at the given speedup, clamped to at
-/// least one microsecond so waits always make progress.
-std::chrono::microseconds RealDuration(SimTime virtual_us, double speedup) {
-  const auto us =
-      static_cast<int64_t>(static_cast<double>(virtual_us) / speedup);
-  return std::chrono::microseconds(std::max<int64_t>(us, 1));
-}
+/// Real-time floor of the multi-domain scheduler tick. The tick is
+/// rebalance_period of virtual time (10 ms by default), which is 1 us real
+/// at speedup 1e4 and 0.1 ns at 1e8; unfloored, every multi-domain
+/// scheduler would wake continuously just to find nothing to steal.
+constexpr std::chrono::nanoseconds kSchedulerTickFloor =
+    std::chrono::microseconds(200);
 
 }  // namespace
 
@@ -148,13 +147,25 @@ void SchedulerDomain::Start() {
     buffer_.clear();
     PublishBufferedLocked();
   }
-  threads_.emplace_back([this] { AdmitterLoop(); });
-  threads_.emplace_back([this] { SchedulerLoop(); });
+  threads_.emplace_back([this] {
+    SetExactTimerSlack();
+    AdmitterLoop();
+  });
+  threads_.emplace_back([this] {
+    SetExactTimerSlack();
+    SchedulerLoop();
+  });
   if (options_.allow_rejection) {
-    threads_.emplace_back([this] { DeadlineLoop(); });
+    threads_.emplace_back([this] {
+      SetExactTimerSlack();
+      DeadlineLoop();
+    });
   }
   for (int e = 0; e < num_executors(); ++e) {
-    threads_.emplace_back([this, e] { WorkerLoop(e); });
+    threads_.emplace_back([this, e] {
+      SetExactTimerSlack();
+      WorkerLoop(e);
+    });
   }
 }
 
@@ -641,7 +652,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
 }
 
 void SchedulerDomain::MaybeSteal(ServerView* view, SchedulerScratch* s) {
-  // relaxed-ok: monotonic telemetry counter
+  // relaxed-ok: advisory load hint; a stale read only delays a steal
   if (buffered_count_.load(std::memory_order_relaxed) > 0) return;
   if (inbox_depth_.load(std::memory_order_acquire) > 0) return;
   bool any_idle = false;
@@ -701,12 +712,17 @@ void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
     }
     // Donate only into a pronounced imbalance: the recipient must sit
     // under half our normalized pressure, so balanced systems never churn.
-    if (target < 0 || !StrictlyLessLoaded(best, Load(), /*factor=*/2)) {
+    const DomainLoad mine = Load();
+    if (target < 0 || !StrictlyLessLoaded(best, mine, /*factor=*/2)) {
       return;
     }
-    const size_t batch =
-        std::min(static_cast<size_t>(options_.steal_batch),
-                 buffer_.size() - executors_.size());
+    // Never past the level point: a batch that overshoots can leave us
+    // under half the recipient's pressure, and its rebalancer then donates
+    // the same queries straight back.
+    const size_t batch = std::min(
+        {static_cast<size_t>(options_.steal_batch),
+         buffer_.size() - executors_.size(),
+         static_cast<size_t>(LevellingTransfer(mine, best))});
     for (size_t i = 0; i < batch; ++i) {
       const int index = buffer_.back();
       buffer_.pop_back();
@@ -793,7 +809,9 @@ void SchedulerDomain::AdmitterLoop() {
 
 void SchedulerDomain::SchedulerLoop() {
   const bool multi = host_->num_domains() > 1;
-  const auto tick = RealDuration(options_.rebalance_period, options_.speedup);
+  const std::chrono::nanoseconds tick = std::max(
+      RealDuration(options_.rebalance_period, options_.speedup),
+      kSchedulerTickFloor);
   PlanWorkspace plan_ws;
   plan_ws.state = policy_->CreatePlanState();
   ServerView view;
@@ -977,7 +995,7 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
       ex.busy.store(true, std::memory_order_release);
       clock_->SleepUntil(start + service);
       ex.busy.store(false, std::memory_order_release);
-      // relaxed-ok: advisory backlog hint; a stale read only delays a steal
+      // relaxed-ok: monotonic telemetry counter
       batches_executed_.fetch_add(1, std::memory_order_relaxed);
       tasks_batched_.fetch_add(static_cast<int64_t>(n),
                                std::memory_order_relaxed);

@@ -31,15 +31,31 @@ class Clock {
   void SleepFor(SimTime duration) { SleepUntil(Now() + duration); }
 };
 
+/// Real-clock duration of `virtual_us` at the given speedup, in whole
+/// nanoseconds (truncated, never clamped up: a wait shorter than 1 ns real
+/// is 0 and must not sleep). The one virtual-to-real conversion of every
+/// timed wait in the runtime.
+std::chrono::nanoseconds RealDuration(SimTime virtual_us, double speedup);
+
+/// Sets the calling thread's timer slack to 1 ns (Linux; a no-op
+/// elsewhere). The kernel's default 50 us slack lets every timed wait
+/// overrun its deadline by up to 50 real us, which at speedup s is 50 * s
+/// virtual us. Every runtime thread calls this first thing.
+void SetExactTimerSlack();
+
 /// Wall-clock time source backed by std::chrono::steady_clock. Virtual
 /// time advances `speedup` microseconds per real microsecond elapsed since
 /// construction, so a trace spanning 60 virtual seconds replays in 60/s
-/// real seconds. speedup == 1 is real time.
+/// real seconds. speedup == 1 is real time. Now() counts elapsed real
+/// nanoseconds, so each real ns advances virtual time by speedup / 1000 us:
+/// at speedup 1e6 a 100 ns real interval reads as 100 virtual ms, not 0.
 class SteadyClock final : public Clock {
  public:
   explicit SteadyClock(double speedup = 1.0);
 
   SimTime Now() const override;
+  /// Sleeps on the OS timer for the remaining real nanoseconds; when the
+  /// remainder rounds to 0 ns it re-reads the clock instead of sleeping.
   void SleepUntil(SimTime when) override;
 
   double speedup() const { return speedup_; }

@@ -43,6 +43,43 @@ TEST(SteadyClockTest, SpeedupCompressesRealTime) {
   EXPECT_GE(fast.Now(), 100 * kMillisecond);
 }
 
+TEST(SteadyClockTest, WaitsUnderOneRealNanosecondNeverSleep) {
+  // At speedup 1e8 a 20 ms virtual wait is 0.2 ns of real time: it must
+  // end by re-reading the clock, not by paying an OS timer sleep (~55 us
+  // each with the default timer slack, so 550 ms for the loop).
+  SteadyClock wall(1.0);
+  SteadyClock fast(1e8);
+  const SimTime real_before = wall.Now();
+  for (int i = 0; i < 10000; ++i) fast.SleepFor(20 * kMillisecond);
+  EXPECT_LT(wall.Now() - real_before, 100 * kMillisecond);
+}
+
+TEST(SteadyClockTest, ResolvesSubMicrosecondRealIntervals) {
+  // One real microsecond is one virtual second at speedup 1e6. Back-to-back
+  // reads are well under a real microsecond apart, so some step between
+  // two readings must be a fraction of a virtual second; a clock that
+  // counted whole real microseconds would only ever step by 1e6.
+  constexpr double kSpeedup = 1e6;
+  SteadyClock clock(kSpeedup);
+  SimTime previous = clock.Now();
+  bool sub_microsecond_step = false;
+  for (int i = 0; i < 100000 && !sub_microsecond_step; ++i) {
+    const SimTime now = clock.Now();
+    ASSERT_GE(now, previous);
+    sub_microsecond_step = now > previous && now - previous < kSecond;
+    previous = now;
+  }
+  EXPECT_TRUE(sub_microsecond_step);
+}
+
+TEST(SteadyClockTest, RealDurationTruncatesToNanoseconds) {
+  EXPECT_EQ(RealDuration(kMillisecond, 1.0).count(), 1000000);
+  EXPECT_EQ(RealDuration(10 * kMillisecond, 1e4).count(), 1000);
+  // Under one real nanosecond is zero, never clamped up to a sleep.
+  EXPECT_EQ(RealDuration(20 * kMillisecond, 1e8).count(), 0);
+  EXPECT_EQ(RealDuration(0, 1.0).count(), 0);
+}
+
 TEST(ManualClockTest, StartsAtConfiguredTime) {
   ManualClock clock(5 * kSecond);
   EXPECT_EQ(clock.Now(), 5 * kSecond);

@@ -159,6 +159,40 @@ TEST(StrictlyLessLoadedTest, NormalizesByExecutorsAndScalesByFactor) {
   EXPECT_FALSE(StrictlyLessLoaded(loads[0], loads[0]));
 }
 
+TEST(LevellingTransferTest, NeverOvershootsAndIsTight) {
+  // The donor-side bound: handing over LevellingTransfer(from, to) items
+  // leaves `from` at least as loaded as `to` (so `to`'s own rebalancer
+  // never sees the donor as under half its pressure and bounces them
+  // back), and one item more would cross the loads.
+  for (int ex_from = 1; ex_from <= 4; ++ex_from) {
+    for (int ex_to = 1; ex_to <= 4; ++ex_to) {
+      for (int64_t load_from = 0; load_from <= 40; ++load_from) {
+        for (int64_t load_to = 0; load_to <= 40; ++load_to) {
+          DomainLoad from{/*domain=*/0, /*inbox=*/0, load_from, 0, ex_from};
+          DomainLoad to{/*domain=*/1, /*inbox=*/0, load_to, 0, ex_to};
+          const int64_t x = LevellingTransfer(from, to);
+          ASSERT_GE(x, 0);
+          if (!StrictlyLessLoaded(to, from)) {
+            EXPECT_EQ(x, 0) << load_from << "/" << ex_from << " -> "
+                            << load_to << "/" << ex_to;
+            continue;
+          }
+          from.buffered = load_from - x;
+          to.buffered = load_to + x;
+          EXPECT_FALSE(StrictlyLessLoaded(from, to))
+              << load_from << "/" << ex_from << " -> " << load_to << "/"
+              << ex_to << " moved " << x;
+          from.buffered -= 1;
+          to.buffered += 1;
+          EXPECT_TRUE(StrictlyLessLoaded(from, to))
+              << load_from << "/" << ex_from << " -> " << load_to << "/"
+              << ex_to << " moved " << x + 1;
+        }
+      }
+    }
+  }
+}
+
 TEST(RoutingPolicyFactoryTest, SingleDomainAlwaysRoutesToZero) {
   const auto domains = UniformDomains(1);
   for (RoutingPolicyKind kind :

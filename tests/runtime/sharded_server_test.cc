@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "baselines/original_policy.h"
+#include "baselines/static_policy.h"
 #include "core/discrepancy.h"
 #include "core/schemble_policy.h"
 #include "models/task_factory.h"
@@ -14,8 +15,25 @@
 #include "workload/trace.h"
 #include "workload/traffic.h"
 
+// Sanitizer instrumentation slows every thread 2-20x, which multiplies the
+// idle scheduler ticks a run spans; the per-query lock bound below is
+// calibrated for uninstrumented builds only.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define SCHEMBLE_SANITIZED_BUILD 1
+#endif
+#elif defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define SCHEMBLE_SANITIZED_BUILD 1
+#endif
+
 namespace schemble {
 namespace {
+
+#ifdef SCHEMBLE_SANITIZED_BUILD
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 /// Structural invariants every sharded run must satisfy regardless of
 /// thread timing: conservation across the per-domain metric sinks (a lost
@@ -80,6 +98,67 @@ TEST(ShardedServerTest, ForceModeProcessesEverythingAcrossDomains) {
   const ServingMetrics metrics = server.Run(trace);
   CheckShardedInvariants(metrics, trace);
   EXPECT_EQ(metrics.processed, trace.size());
+}
+
+/// A four-domain StaticPolicy deployment (two executors of model 1 per
+/// domain, force mode) replaying `trace` at `speedup`.
+struct StaticRun {
+  ServingMetrics metrics;
+  ConcurrentServer::LockStatsSnapshot lock;
+};
+
+StaticRun RunFourDomainStatic(const SyntheticTask& task,
+                              const QueryTrace& trace, double speedup) {
+  constexpr int kDomains = 4;
+  StaticDeployment deployment;
+  deployment.subset = SubsetMask{1} << 1;
+  deployment.replicas = {0, 2 * kDomains, 0};
+  std::vector<StaticPolicy> policies(kDomains, StaticPolicy(deployment));
+  std::vector<ServingPolicy*> policy_ptrs;
+  for (StaticPolicy& policy : policies) policy_ptrs.push_back(&policy);
+  ConcurrentServerOptions options;
+  options.num_domains = kDomains;
+  options.executor_models.assign(2 * kDomains, 1);
+  options.allow_rejection = false;
+  options.speedup = speedup;
+  ConcurrentServer server(task, std::move(policy_ptrs), options);
+  StaticRun run;
+  run.metrics = server.Run(trace);
+  run.lock = server.lock_stats();
+  return run;
+}
+
+TEST(ShardedServerTest, FourDomainsConserveQueriesInRealTime) {
+  // Speedup 1: every timed wait spans milliseconds of real time.
+  const SyntheticTask task = MakeTextMatchingTask(3);
+  const QueryTrace trace =
+      MakeSimpleTrace(task, 200.0, 200 * kMillisecond, kSecond, 41);
+  ASSERT_GT(trace.size(), 10);
+  const StaticRun run = RunFourDomainStatic(task, trace, 1.0);
+  CheckShardedInvariants(run.metrics, trace);
+  EXPECT_EQ(run.metrics.processed, trace.size());
+}
+
+TEST(ShardedServerTest, FourDomainsStayQuietAtSpeedupMillion) {
+  // Speedup 1e6: the 10 ms virtual rebalance tick is 10 ns of real time.
+  // The tick floor keeps the four schedulers from waking continuously, so
+  // domain-lock acquisitions stay near one per query (admission, dispatch
+  // and completion are batched), plus a few idle scans. Calibrated on a
+  // 4-vCPU host: 1.04-1.06 per query; an unfloored tick (1 us real,
+  // stretched to ~55 us by the default timer slack) reads 2.9-3.1.
+  const SyntheticTask task = MakeTextMatchingTask(3);
+  const QueryTrace trace =
+      MakeSimpleTrace(task, 400.0, 10 * kSecond, kSecond, 43);
+  ASSERT_GT(trace.size(), 3000);
+  const StaticRun run = RunFourDomainStatic(task, trace, 1e6);
+  CheckShardedInvariants(run.metrics, trace);
+  EXPECT_EQ(run.metrics.processed, trace.size());
+  const double acquisitions_per_query =
+      static_cast<double>(run.lock.acquisitions) /
+      static_cast<double>(trace.size());
+  if (!kSanitized) {
+    EXPECT_LT(acquisitions_per_query, 2.0);
+  }
 }
 
 TEST(ShardedServerTest, MismatchedPolicyCountIsRejected) {
@@ -412,8 +491,14 @@ TEST_F(ShardedSchembleTest, RebalanceDonatesBufferedBacklog) {
   // Cross-domain movement happened: the backlog left domain 0 through
   // donations, steals, or (typically) both.
   EXPECT_GT(sched.donated + sched.stolen, 0);
-  // The donor's counters live on domain 0.
-  EXPECT_EQ(server.scheduler_stats(0).donated, sched.donated);
+  // Domain 0 is the donor. Domain 1 holds only migrated queries, and a
+  // donation never overshoots the level point (LevellingTransferTest), so
+  // domain 1 does not bounce them straight back. It may still hand a few
+  // to domain 0 late in the run, once domain 0's older backlog has expired
+  // and its executors sit idle: that is the balancing donation exists
+  // for, so domain 1 stays the minor donor rather than a silent one.
+  EXPECT_LE(server.scheduler_stats(1).donated,
+            server.scheduler_stats(0).donated);
 }
 
 /// The multi-domain TSan target: four domains, 32 workers over a 3-model

@@ -67,6 +67,19 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         batch. Pointer/reference uses are free — passing
                         the workspace around is the approved pattern.
 
+  timed-wait            Inside src/runtime/, every timed wait must end when
+                        its virtual deadline passes. Raw sleep_for /
+                        sleep_until are banned (sleep through Clock). A
+                        CondVar WaitFor's duration must be built by
+                        RealDuration: the argument calls it, or names a
+                        variable the file initializes from an expression
+                        that calls it. A thread spawned from a lambda
+                        (std::thread / std::jthread construction or
+                        .emplace_back of a lambda) must call
+                        SetExactTimerSlack() as its first statement, or the
+                        default 50 us timer slack stretches every wait.
+                        No marker escape.
+
   stress-rng            Inside src/stress/ and tests/stress/, rand() /
                         std::random_device / std::mt19937 (and friends) are
                         banned: the stress harness's replay-from-seed
@@ -177,6 +190,28 @@ ARRIVAL_PUMP_MUTEX_RE = re.compile(
     r"\bMutexLock\b|\bMutex\b|\bmu_\b|"
     r"[.>](Lock|TryLock|Unlock|Acquire|Release|Wait|WaitFor|"
     r"NotifyOne|NotifyAll)\s*\(")
+
+# Raw OS sleeps: runtime code sleeps through Clock, whose SteadyClock skips
+# waits that have already ended.
+RAW_SLEEP_RE = re.compile(r"\bsleep_for\s*\(|\bsleep_until\s*\(")
+
+TIMED_WAIT_RE = re.compile(r"[.>]WaitFor\s*\(")
+
+# The one virtual-to-real conversion (simcore/clock.h).
+REAL_DURATION_RE = re.compile(r"\bRealDuration\s*\(")
+
+# A variable initialized from an expression: `name = expr;` or
+# `name{expr};` / `name(expr);`. A lookahead, so overlapping candidates
+# (a function name swallowing the declarations after it) all match.
+INIT_RE = re.compile(r"(?=\b(\w+)\s*(?:=\s*|[({])([^;]*);)")
+
+# A lambda handed to a new thread: std::thread / std::jthread construction
+# (named or temporary) or an emplace_back into a thread container.
+THREAD_SPAWN_RE = re.compile(
+    r"(?:\bstd::j?thread\s*(?:\w+\s*)?[({]|"
+    r"[.>]emplace_back\s*\()\s*\[")
+
+SLACK_FIRST_RE = re.compile(r"^(?:\w+::)*SetExactTimerSlack\s*\(\s*\)$")
 
 # A TaskBatch object being constructed (declaration-with-name or a
 # temporary). Pointer/reference parameters (`TaskBatch*`, `TaskBatch&`)
@@ -344,6 +379,68 @@ def find_blocking_under_lock(lines, stripped):
                 scopes = [s for s in scopes if s["depth"] <= depth]
             elif ch == ";" and pending_requires is not None:
                 pending_requires = None  # declaration only, no inline body
+
+
+def call_arguments(code, open_paren):
+    """Splits the argument list of the call whose '(' sits at `open_paren`
+    in `code` into top-level argument strings. Returns None when the
+    parentheses never close."""
+    depth = 0
+    args = []
+    start = open_paren + 1
+    for k in range(open_paren, len(code)):
+        c = code[k]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(code[start:k])
+                return [a.strip() for a in args]
+        elif c == "," and depth == 1:
+            args.append(code[start:k])
+            start = k + 1
+    return None
+
+
+def find_timed_wait_violations(stripped):
+    """Yields (line_number, message) for waits in runtime code that could
+    outlive their virtual deadline: raw OS sleeps, CondVar WaitFor calls
+    whose duration does not come from RealDuration, and thread spawns whose
+    lambda does not set exact timer slack first."""
+    code = "\n".join(stripped)
+
+    def line_of(pos):
+        return code.count("\n", 0, pos) + 1
+
+    for m in RAW_SLEEP_RE.finditer(code):
+        yield line_of(m.start()), (
+            f"raw `{m.group(0).strip()}` in runtime code; sleep through "
+            "Clock::SleepUntil / SleepFor, which converts to real "
+            "nanoseconds and skips waits that have already ended")
+
+    helper_built = {m.group(1) for m in INIT_RE.finditer(code)
+                    if REAL_DURATION_RE.search(m.group(2))}
+    for m in TIMED_WAIT_RE.finditer(code):
+        args = call_arguments(code, m.end() - 1)
+        duration = args[1] if args is not None and len(args) > 1 else ""
+        if REAL_DURATION_RE.search(duration) or duration in helper_built:
+            continue
+        yield line_of(m.start()), (
+            f"WaitFor duration `{duration or '?'}` is not built by "
+            "RealDuration (simcore/clock.h); convert the virtual wait "
+            "there, directly or through a variable initialized from it")
+
+    for m in THREAD_SPAWN_RE.finditer(code):
+        body = code.find("{", m.end())
+        end = code.find(";", body) if body >= 0 else -1
+        first = code[body + 1:end].strip() if end >= 0 else ""
+        if SLACK_FIRST_RE.match(first):
+            continue
+        yield line_of(m.start()), (
+            "thread spawned without SetExactTimerSlack() as the lambda's "
+            "first statement; the default 50 us timer slack makes every "
+            "timed wait on the thread overrun its deadline")
 
 
 def find_marked_function_bodies(text, marker_re):
@@ -525,6 +622,9 @@ class Linter:
                            "per-worker workspace (reserved to the batch "
                            "cap, growth tracked by grow_events) instead of "
                            "allocating a batch per coalescing drain")
+            stripped = [strip_comments_and_strings(l) for l in lines]
+            for line_no, message in find_timed_wait_violations(stripped):
+                self.error(rel, line_no, "timed-wait", message)
             for start, body in find_marked_function_bodies(
                     text, ARRIVAL_PUMP_SIG_RE):
                 for j in body:
