@@ -1,11 +1,15 @@
 // Numeric-kernel microbenchmarks: the flat allocation-free KnnIndex
-// (query + batched fill) against the retained ReferenceKnnIndex, and the
-// MLP train step on the allocation-free ApplyInto path. The committed
-// baseline bench/BENCH_nn.json (see bench/run_nn_bench.sh) pins these
-// series; CI's bench smoke reruns them through bench/check_regression.py.
+// (query + batched fill on the scan path, single fills on the k-d tree
+// path at the stacking aggregator's serving shape) against the retained
+// ReferenceKnnIndex, and the MLP train step on the allocation-free
+// ApplyInto path. The committed baseline bench/BENCH_nn.json (see
+// bench/run_nn_bench.sh) pins these series; CI's bench smoke reruns them
+// through bench/check_regression.py.
 //
-// Args convention for the KNN series: {N records, dim, k}.
+// Args convention for the BM_KnnQuery / BM_KnnFillBatch series:
+// {N records, dim, k}.
 
+#include <cmath>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -121,6 +125,77 @@ BENCHMARK(BM_KnnFillBatchReference)
     ->Args({2000, 8, 10})
     ->Args({2000, 16, 10})
     ->Args({8000, 8, 10});
+
+// The stacking aggregator's serving shape (text matching, §VII): 2000
+// fill records of three models' 2-class probability outputs, k = 10, one
+// row per executed-subset column mask (Arg = SubsetMask 1..6). The index
+// is built with all six masks, exactly as Aggregator::Build does, so every
+// row runs the k-d tree path. One iteration = 64 single-query
+// FillMissingInto calls, the per-completion call the servers make.
+constexpr int kServingRecords = 2000;
+constexpr int kServingModels = 3;
+constexpr int kServingK = 10;
+
+/// Correlated 2-class probability outputs: the models agree on easy
+/// queries and scatter on hard ones, like the synthetic tasks' outputs.
+std::vector<std::vector<double>> ServingRecords(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> records(n);
+  for (auto& r : records) {
+    const double logit = 2.0 * rng.Normal();
+    for (int k = 0; k < kServingModels; ++k) {
+      const double p = 1.0 / (1.0 + std::exp(-(logit + rng.Normal())));
+      r.push_back(p);
+      r.push_back(1.0 - p);
+    }
+  }
+  return records;
+}
+
+std::vector<bool> SubsetColumns(int subset) {
+  std::vector<bool> mask(2 * kServingModels, false);
+  for (int k = 0; k < kServingModels; ++k) {
+    if (subset & (1 << k)) mask[2 * k] = mask[2 * k + 1] = true;
+  }
+  return mask;
+}
+
+void BM_KnnFillServing(benchmark::State& state) {
+  std::vector<std::vector<bool>> masks;
+  for (int subset = 1; subset < (1 << kServingModels) - 1; ++subset) {
+    masks.push_back(SubsetColumns(subset));
+  }
+  auto index =
+      KnnIndex::Build(ServingRecords(kServingRecords, 106), masks).value();
+  const auto points = ServingRecords(kFillBatch, 107);
+  const std::vector<bool> mask = SubsetColumns(static_cast<int>(state.range(0)));
+  KnnIndex::Workspace ws;
+  std::vector<double> out;
+  for (auto _ : state) {
+    for (const auto& p : points) {
+      index.FillMissingInto(p, mask, kServingK, &ws, &out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kFillBatch);
+  state.counters["tree_share"] = static_cast<double>(ws.stats.tree_queries) /
+                                 static_cast<double>(ws.stats.queries);
+}
+BENCHMARK(BM_KnnFillServing)->DenseRange(1, 6);
+
+void BM_KnnFillServingReference(benchmark::State& state) {
+  auto index =
+      ReferenceKnnIndex::Build(ServingRecords(kServingRecords, 106)).value();
+  const auto points = ServingRecords(kFillBatch, 107);
+  const std::vector<bool> mask = SubsetColumns(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (const auto& p : points) {
+      benchmark::DoNotOptimize(index.FillMissing(p, mask, kServingK));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kFillBatch);
+}
+BENCHMARK(BM_KnnFillServingReference)->DenseRange(1, 6);
 
 // One iteration = ForwardCached + Backward + SGD on one example, the unit
 // of work every predictor/meta-classifier epoch repeats. Args: {input,

@@ -5,6 +5,7 @@ Usage:
     bench/check_regression.py CURRENT.json [--baseline bench/BENCH_scheduler.json]
                               [--threshold 2.5]
                               [--counter-min-ratio throughput_qps=0.4]
+                              [--min-speedup FAST=REFERENCE:RATIO]
 
 For every benchmark name present in both files, the per-iteration cpu_time
 is compared. The check fails (exit 1) if any benchmark is more than
@@ -18,6 +19,12 @@ counters where HIGHER is better: for every benchmark that carries counter
 NAME in both files, the check fails if current/baseline drops below RATIO.
 Benchmarks without the counter in either file are skipped, so the gate
 composes with mixed-counter suites.
+
+`--min-speedup FAST=REFERENCE:RATIO` (repeatable) gates a speedup measured
+on the same runner, so it holds whatever the runner's speed: every row of
+CURRENT named FAST or FAST/<args> must have a REFERENCE/<args> row in
+CURRENT, and REFERENCE's cpu_time must be at least RATIO times FAST's. The
+baseline file plays no part in this gate.
 
 Benchmarks only present in one file are reported but never fail the check,
 so adding or retiring benchmarks does not require touching the baseline in
@@ -60,6 +67,45 @@ def parse_counter_min_ratio(spec):
             f"ratio in {spec!r} is not a number")
 
 
+def parse_min_speedup(spec):
+    """Parses FAST=REFERENCE:RATIO into (fast, reference, float_ratio)."""
+    fast, sep, rest = spec.partition("=")
+    reference, sep2, value = rest.rpartition(":")
+    if not sep or not sep2 or not fast or not reference:
+        raise argparse.ArgumentTypeError(
+            f"expected FAST=REFERENCE:RATIO, got {spec!r}")
+    try:
+        return fast, reference, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ratio in {spec!r} is not a number")
+
+
+def check_min_speedups(current, specs):
+    """Prints every gated pair; returns [(fast_row, message)] failures."""
+    failures = []
+    for fast, reference, min_ratio in specs:
+        rows = sorted(name for name in current
+                      if name == fast or name.startswith(fast + "/"))
+        if not rows:
+            failures.append((fast, "no benchmark rows in the run"))
+            continue
+        print(f"\nspeedup {fast} over {reference} (min {min_ratio}x):")
+        for name in rows:
+            ref_name = reference + name[len(fast):]
+            if ref_name not in current:
+                failures.append((name, f"{ref_name} missing from the run"))
+                continue
+            ratio = (current[ref_name]["cpu_time_us"] /
+                     current[name]["cpu_time_us"])
+            flag = ""
+            if ratio < min_ratio:
+                failures.append((name, f"{ratio:.1f}x over {ref_name}"))
+                flag = "  <-- REGRESSION"
+            print(f"{name}  {ratio:>8.1f}x{flag}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="benchmark JSON from this run")
@@ -83,6 +129,15 @@ def main():
         metavar="NAME=RATIO",
         help="fail if custom counter NAME (higher is better) drops below "
         "RATIO x baseline on any benchmark carrying it (repeatable)",
+    )
+    parser.add_argument(
+        "--min-speedup",
+        type=parse_min_speedup,
+        action="append",
+        default=[],
+        metavar="FAST=REFERENCE:RATIO",
+        help="fail unless every FAST[/args] row of CURRENT runs at least "
+        "RATIO times faster than REFERENCE[/args] in CURRENT (repeatable)",
     )
     args = parser.parse_args()
 
@@ -143,7 +198,13 @@ def main():
               "their minimum ratio:", file=sys.stderr)
         for name, counter, ratio in counter_regressions:
             print(f"  {name} {counter}: {ratio:.2f}x", file=sys.stderr)
-    if regressions or counter_regressions:
+    speedup_failures = check_min_speedups(current, args.min_speedup)
+    if speedup_failures:
+        print(f"\nFAIL: {len(speedup_failures)} speedup gate(s) failed:",
+              file=sys.stderr)
+        for name, message in speedup_failures:
+            print(f"  {name}: {message}", file=sys.stderr)
+    if regressions or counter_regressions or speedup_failures:
         return 1
 
     print(f"\nOK: {len(common)} benchmark(s) within {args.threshold}x "

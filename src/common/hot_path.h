@@ -24,6 +24,14 @@
 /// See DESIGN.md "Static analysis & lock discipline".
 #define SCHEMBLE_HOT __attribute__((hot))
 
+/// Forces inlining of a small helper called once per element of a hot
+/// loop, where a call per element would dominate the loop body.
+#if defined(__GNUC__) || defined(__clang__)
+#define SCHEMBLE_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define SCHEMBLE_ALWAYS_INLINE inline
+#endif
+
 namespace schemble {
 
 /// Asserts that a grow-event counter does not advance during the guard's

@@ -42,7 +42,20 @@ Result<Aggregator> Aggregator::Build(const SyntheticTask& task,
   for (int i = 0; i < records; ++i) {
     fill_records.push_back(agg.ConcatOutputs(history[i]));
   }
-  auto index = KnnIndex::Build(std::move(fill_records));
+  // Index the observed columns of every partial executed subset: those
+  // are the only masks StackInto ever fills with.
+  const int dim = task.output_dim();
+  const SubsetMask full = FullMask(task.num_models());
+  std::vector<std::vector<bool>> subset_masks;
+  for (SubsetMask subset = 1; subset < full; ++subset) {
+    std::vector<bool>& mask = subset_masks.emplace_back(
+        static_cast<size_t>(task.num_models()) * dim, false);
+    for (int k = 0; k < task.num_models(); ++k) {
+      if (!(subset & (SubsetMask{1} << k))) continue;
+      std::fill_n(mask.begin() + k * dim, dim, true);
+    }
+  }
+  auto index = KnnIndex::Build(std::move(fill_records), subset_masks);
   if (!index.ok()) return index.status();
   agg.fill_index_ = std::make_unique<KnnIndex>(std::move(index).value());
 

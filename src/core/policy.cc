@@ -25,13 +25,16 @@ SimTime ServerView::EstimateCompletion(SubsetMask subset) const {
   return completion;
 }
 
-const SnapshotQuery& PlanWorkspace::Find(int64_t query_id) const {
-  for (const SnapshotQuery& snap : buffer) {
-    if (snap.traced->query.id == query_id) return snap;
-  }
-  SCHEMBLE_CHECK(false) << "plan references query " << query_id
-                        << " outside its snapshot";
-  return buffer.front();
+const SnapshotQuery& PlanWorkspace::SnapshotOf(
+    const BufferedAssignment& assignment) const {
+  SCHEMBLE_CHECK(assignment.snapshot >= 0 &&
+                 static_cast<size_t>(assignment.snapshot) < buffer.size())
+      << "plan references query " << assignment.query_id
+      << " outside its snapshot";
+  const SnapshotQuery& snap = buffer[static_cast<size_t>(assignment.snapshot)];
+  SCHEMBLE_CHECK_EQ(snap.traced->query.id, assignment.query_id)
+      << "plan entry's snapshot position holds another query";
+  return snap;
 }
 
 void ServingPolicy::PlanOnView(const ServerView& /*view*/,

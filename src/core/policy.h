@@ -88,10 +88,13 @@ struct ArrivalDecision {
   static ArrivalDecision Reject() { return {Action::kReject, 0}; }
 };
 
-/// A commitment produced while draining the buffer.
+/// A commitment produced while draining the buffer. `snapshot` is the
+/// query's position in PlanWorkspace::buffer, so committing an assignment
+/// is O(1); `query_id` must match that entry (checked at commit).
 struct BufferedAssignment {
   int64_t query_id = 0;
   SubsetMask subset = 0;
+  int snapshot = -1;
 };
 
 struct PolicyOutput {
@@ -134,9 +137,9 @@ struct PlanWorkspace {
   PolicyOutput output;
   std::unique_ptr<PolicyPlanState> state;
 
-  /// The snapshot entry of `query_id`; CHECK-fails when a plan references
-  /// a query outside its snapshot.
-  const SnapshotQuery& Find(int64_t query_id) const;
+  /// The snapshot entry `assignment` was planned for; CHECK-fails when
+  /// its position is outside the snapshot or holds a different query.
+  const SnapshotQuery& SnapshotOf(const BufferedAssignment& assignment) const;
 };
 
 /// Decision interface between the serving drivers and a selection/

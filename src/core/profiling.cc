@@ -111,7 +111,7 @@ double AccuracyProfile::Utility(double score, SubsetMask subset) const {
   return table_[BinOf(score)][subset];
 }
 
-std::vector<double> AccuracyProfile::UtilityRow(double score) const {
+const std::vector<double>& AccuracyProfile::UtilityRow(double score) const {
   return table_[BinOf(score)];
 }
 

@@ -56,8 +56,9 @@ class AccuracyProfile {
   /// Utility(_, 0) is 0.
   double Utility(double score, SubsetMask subset) const;
 
-  /// All subset utilities for one score, indexed by mask (size 2^m).
-  std::vector<double> UtilityRow(double score) const;
+  /// All subset utilities for one score, indexed by mask (size 2^m). The
+  /// reference stays valid for the profile's lifetime.
+  const std::vector<double>& UtilityRow(double score) const;
 
   /// Returns a copy of this profile whose large-subset cells (size > 2)
   /// are replaced by Eq. 3 estimates from the small-subset cells — the

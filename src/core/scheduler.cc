@@ -9,12 +9,8 @@
 #include "common/logging.h"
 
 // The DP transition loop calls InsertPruned once per examined transition;
-// inlining it keeps the trial loads in registers across the call boundary.
-#if defined(__GNUC__) || defined(__clang__)
-#define SCHEMBLE_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define SCHEMBLE_ALWAYS_INLINE inline
-#endif
+// SCHEMBLE_ALWAYS_INLINE keeps the trial loads in registers across the call
+// boundary.
 
 namespace schemble {
 
@@ -69,7 +65,7 @@ bool Before(const SchedulerQuery* a, const SchedulerQuery* b,
   return a->id < b->id;  // stable tiebreak
 }
 
-void SortQueriesInto(const std::vector<SchedulerQuery>& queries,
+void SortQueriesInto(std::span<const SchedulerQuery> queries,
                      GreedyScheduler::Order order,
                      std::vector<const SchedulerQuery*>& sorted) {
   sorted.clear();
@@ -334,10 +330,9 @@ SCHEMBLE_HOT SCHEMBLE_ALWAYS_INLINE void DpScheduler::InsertPruned(
 }
 
 template <int M>
-SchedulePlan DpScheduler::ScheduleImpl(
-    const std::vector<SchedulerQuery>& queries,
-    const SchedulerEnv& env) const {
-  SchedulePlan plan;
+void DpScheduler::ScheduleImpl(std::span<const SchedulerQuery> queries,
+                               const SchedulerEnv& env,
+                               SchedulePlan* plan) const {
   const SubsetMask full = FullMask(M);
 
   SortQueriesInto(queries, GreedyScheduler::Order::kEdf, ws_.sorted);
@@ -480,52 +475,63 @@ SchedulePlan DpScheduler::ScheduleImpl(
   }
 
   // Reconstruct decisions back to front.
-  plan.decisions.resize(n + num_deferred);
+  plan->decisions.resize(n + num_deferred);
   int u = best_u;
   int s = best_sol;
   for (int i = n; i >= 1; --i) {
     const Cell& cell = ws_.cells[ws_.stage_begin[i] + u];
     const SlotMeta& sol = ws_.slot_meta[cell.begin + s];
-    plan.decisions[i - 1] = {ws_.sorted[i - 1]->id, sol.subset,
-                             sol.completion};
+    const SchedulerQuery* query = ws_.sorted[i - 1];
+    plan->decisions[i - 1] = {query->id, sol.subset, sol.completion,
+                              static_cast<int>(query - queries.data())};
     if (sol.subset != 0) {
-      plan.total_utility += ws_.sorted[i - 1]->utilities[sol.subset];
+      plan->total_utility += query->utilities[sol.subset];
     }
     u = sol.parent_u;
     s = sol.parent_sol;
   }
   for (int d = 0; d < num_deferred; ++d) {
-    plan.decisions[n + d] = {ws_.sorted[n + d]->id, 0, 0};
+    const SchedulerQuery* query = ws_.sorted[n + d];
+    plan->decisions[n + d] = {query->id, 0, 0,
+                              static_cast<int>(query - queries.data())};
   }
+}
+
+SchedulePlan DpScheduler::Schedule(std::span<const SchedulerQuery> queries,
+                                   const SchedulerEnv& env) const {
+  SchedulePlan plan;
+  ScheduleInto(queries, env, &plan);
   return plan;
 }
 
-SchedulePlan DpScheduler::Schedule(const std::vector<SchedulerQuery>& queries,
-                                   const SchedulerEnv& env) const {
+void DpScheduler::ScheduleInto(std::span<const SchedulerQuery> queries,
+                               const SchedulerEnv& env,
+                               SchedulePlan* plan) const {
   last_ops_ = 0;
   ++ws_.stats.schedule_calls;
-  if (queries.empty()) return SchedulePlan{};
+  plan->decisions.clear();
+  plan->total_utility = 0.0;
+  if (queries.empty()) return;
   const int m = env.num_models();
   SCHEMBLE_CHECK_GE(m, 0);
   SCHEMBLE_CHECK_LE(m, kMaxSchedulerModels);
   // Dispatch to the DP specialized on the model count (compile-time trip
   // counts for the per-load loops).
   switch (m) {
-    case 0: return ScheduleImpl<0>(queries, env);
-    case 1: return ScheduleImpl<1>(queries, env);
-    case 2: return ScheduleImpl<2>(queries, env);
-    case 3: return ScheduleImpl<3>(queries, env);
-    case 4: return ScheduleImpl<4>(queries, env);
-    case 5: return ScheduleImpl<5>(queries, env);
-    case 6: return ScheduleImpl<6>(queries, env);
-    case 7: return ScheduleImpl<7>(queries, env);
-    default: return ScheduleImpl<8>(queries, env);
+    case 0: return ScheduleImpl<0>(queries, env, plan);
+    case 1: return ScheduleImpl<1>(queries, env, plan);
+    case 2: return ScheduleImpl<2>(queries, env, plan);
+    case 3: return ScheduleImpl<3>(queries, env, plan);
+    case 4: return ScheduleImpl<4>(queries, env, plan);
+    case 5: return ScheduleImpl<5>(queries, env, plan);
+    case 6: return ScheduleImpl<6>(queries, env, plan);
+    case 7: return ScheduleImpl<7>(queries, env, plan);
+    default: return ScheduleImpl<8>(queries, env, plan);
   }
 }
 
 SchedulePlan GreedyScheduler::Schedule(
-    const std::vector<SchedulerQuery>& queries,
-    const SchedulerEnv& env) const {
+    std::span<const SchedulerQuery> queries, const SchedulerEnv& env) const {
   SchedulePlan plan;
   if (queries.empty()) return plan;
   const int m = env.num_models();
@@ -569,7 +575,8 @@ SchedulePlan GreedyScheduler::Schedule(
       completion = ApplySubset(best, env.model_exec_time, avail);
       plan.total_utility += best_utility;
     }
-    plan.decisions.push_back({query->id, best, completion});
+    plan.decisions.push_back({query->id, best, completion,
+                              static_cast<int>(query - queries.data())});
   }
   return plan;
 }

@@ -2,6 +2,7 @@
 #define SCHEMBLE_CORE_SCHEDULER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/small_vector.h"
@@ -51,6 +52,9 @@ struct ScheduleDecision {
   SubsetMask subset = 0;
   /// Projected completion time under the plan (0 when skipped).
   SimTime completion = 0;
+  /// Position of the query in the Schedule() input, so callers map a
+  /// decision back to their own records without searching by id.
+  int query_index = -1;
 };
 
 struct SchedulePlan {
@@ -119,8 +123,12 @@ class DpScheduler {
 
   /// Computes a near-optimal plan for the buffered queries. Queries may be
   /// passed in any order; the plan lists them in EDF order.
-  SchedulePlan Schedule(const std::vector<SchedulerQuery>& queries,
+  SchedulePlan Schedule(std::span<const SchedulerQuery> queries,
                         const SchedulerEnv& env) const;
+  /// Schedule into a caller-reused plan: steady-state calls reuse the
+  /// capacity of plan->decisions instead of allocating a new plan.
+  void ScheduleInto(std::span<const SchedulerQuery> queries,
+                    const SchedulerEnv& env, SchedulePlan* plan) const;
 
   /// DP transitions examined by the last Schedule call (the overhead proxy
   /// charged into the serving timeline).
@@ -181,8 +189,8 @@ class DpScheduler {
   /// The DP specialized on the model count: the per-load loops get
   /// compile-time trip counts, which matters at this loop depth.
   template <int M>
-  SchedulePlan ScheduleImpl(const std::vector<SchedulerQuery>& queries,
-                            const SchedulerEnv& env) const;
+  void ScheduleImpl(std::span<const SchedulerQuery> queries,
+                    const SchedulerEnv& env, SchedulePlan* plan) const;
   /// Pareto insertion into cells[cell_index], fused into a single pass
   /// over the cell (dominance test, stable compaction and eviction
   /// bookkeeping). In equivalence mode the pass replicates the seed's
@@ -225,7 +233,7 @@ class GreedyScheduler {
 
   explicit GreedyScheduler(Order order) : order_(order) {}
 
-  SchedulePlan Schedule(const std::vector<SchedulerQuery>& queries,
+  SchedulePlan Schedule(std::span<const SchedulerQuery> queries,
                         const SchedulerEnv& env) const;
 
   Order order() const { return order_; }

@@ -1,6 +1,7 @@
 #include "core/schemble_policy.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 
@@ -19,8 +20,11 @@ struct SchemblePlanState final : PolicyPlanState {
   /// cache; scores are deterministic per query so the split cannot change
   /// decisions).
   std::unordered_map<int64_t, double> scores;
-  /// Reused per plan: the scheduler's query list and working availability.
+  /// Reused per plan: the scheduler's query slots (grown to the largest
+  /// snapshot, never shrunk, so each slot keeps its utilities capacity),
+  /// the plan, and the working availability.
   std::vector<SchedulerQuery> queries;
+  SchedulePlan plan;
   SchedulerEnv env;
   std::vector<SimTime> avail;
   /// Per-model coalescing headroom for the batch-aware commit gate (empty
@@ -90,7 +94,7 @@ SimTime SchemblePolicy::ArrivalProcessingDelay() const {
 
 SubsetMask SchemblePolicy::BestImmediateSubset(double score, SimTime deadline,
                                                const ServerView& view) const {
-  const std::vector<double> utilities = profile_->UtilityRow(score);
+  const std::vector<double>& utilities = profile_->UtilityRow(score);
   SubsetMask best = 0;
   double best_utility = -1.0;
   int best_size = -1;
@@ -148,18 +152,22 @@ void SchemblePolicy::PlanOnView(const ServerView& view,
   SCHEMBLE_CHECK(state != nullptr)
       << "PlanOnView needs a workspace state from CreatePlanState";
 
-  std::vector<SchedulerQuery>& queries = state->queries;
-  queries.clear();
-  queries.reserve(ws->buffer.size());
-  for (const SnapshotQuery& snap : ws->buffer) {
-    const TracedQuery* tq = snap.traced;
-    SchedulerQuery sq;
+  // Slot i holds snapshot entry i, so a decision's query_index is also
+  // its snapshot position.
+  if (state->queries.size() < ws->buffer.size()) {
+    state->queries.resize(ws->buffer.size());
+  }
+  const std::span<SchedulerQuery> queries =
+      std::span(state->queries).first(ws->buffer.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const TracedQuery* tq = ws->buffer[i].traced;
+    SchedulerQuery& sq = queries[i];
     sq.id = tq->query.id;
     sq.arrival = tq->arrival_time;
     sq.deadline = tq->deadline;
     sq.predicted_score = LookupScore(tq->query, &state->scores);
-    sq.utilities = profile_->UtilityRow(sq.predicted_score);
-    queries.push_back(std::move(sq));
+    const std::vector<double>& row = profile_->UtilityRow(sq.predicted_score);
+    sq.utilities.assign(row.begin(), row.end());
   }
 
   SchedulerEnv& env = state->env;
@@ -176,12 +184,12 @@ void SchemblePolicy::PlanOnView(const ServerView& view,
     }
   }
 
-  SchedulePlan plan;
+  SchedulePlan& plan = state->plan;
   // relaxed-ok: monotonic scheduler telemetry counter
   scheduler_runs_.fetch_add(1, std::memory_order_relaxed);
   switch (config_.scheduler) {
     case BufferScheduler::kDp:
-      plan = state->dp.Schedule(queries, env);
+      state->dp.ScheduleInto(queries, env, &plan);
       output.overhead_us = static_cast<SimTime>(
           static_cast<double>(state->dp.last_ops()) /
           config_.scheduler_ops_per_us);
@@ -266,7 +274,8 @@ void SchemblePolicy::PlanOnView(const ServerView& view,
       }
     }
     ApplySubset(decision.subset, env.model_exec_time, avail);
-    output.assignments.push_back({decision.query_id, decision.subset});
+    output.assignments.push_back(
+        {decision.query_id, decision.subset, decision.query_index});
     any_idle = false;
     for (int k = 0; k < view.num_models(); ++k) {
       any_idle |= avail[k] <= view.now;

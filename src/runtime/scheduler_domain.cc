@@ -601,7 +601,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
     for (const BufferedAssignment& assignment :
          plan_ws->output.assignments) {
       SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-      const SnapshotQuery& snap = plan_ws->Find(assignment.query_id);
+      const SnapshotQuery& snap = plan_ws->SnapshotOf(assignment);
       const QueryState& state = states_[static_cast<size_t>(snap.index)];
       if (state.generation != snap.generation) {
         ++invalidated;

@@ -215,7 +215,7 @@ void EnsembleServer::DrainBuffer() {
   const PolicyOutput& output = plan_ws_.output;
   for (const BufferedAssignment& assignment : output.assignments) {
     SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-    Commit(plan_ws_.Find(assignment.query_id).index, assignment.subset,
+    Commit(plan_ws_.SnapshotOf(assignment).index, assignment.subset,
            output.overhead_us);
   }
   draining_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -247,6 +248,52 @@ TEST(DpSchedulerTest, PlanListsQueriesInEdfOrder) {
   EXPECT_EQ(plan.decisions[0].query_id, 2);
   EXPECT_EQ(plan.decisions[1].query_id, 3);
   EXPECT_EQ(plan.decisions[2].query_id, 1);
+}
+
+TEST(DpSchedulerTest, DecisionsIndexTheirInputPosition) {
+  DpScheduler::Options options;
+  options.max_queries = 2;  // deferred decisions carry their index too
+  std::vector<SchedulerQuery> queries;
+  for (int i = 0; i < 5; ++i) {
+    queries.push_back(MakeQuery(10 + i, 0, 500 - 50 * i,
+                                MonotoneUtilities({0.5, 0.5})));
+  }
+  const SchedulePlan dp = DpScheduler(options).Schedule(queries, TwoModelEnv());
+  const SchedulePlan greedy = GreedyScheduler(GreedyScheduler::Order::kEdf)
+                                  .Schedule(queries, TwoModelEnv());
+  for (const SchedulePlan* plan : {&dp, &greedy}) {
+    ASSERT_EQ(plan->decisions.size(), queries.size());
+    for (const ScheduleDecision& d : plan->decisions) {
+      ASSERT_GE(d.query_index, 0);
+      EXPECT_EQ(queries[static_cast<size_t>(d.query_index)].id, d.query_id);
+    }
+  }
+}
+
+TEST(DpSchedulerTest, ScheduleIntoReusesThePlan) {
+  DpScheduler dp;
+  std::vector<SchedulerQuery> queries;
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(
+        MakeQuery(i, 0, 40 + 7 * i, MonotoneUtilities({0.6, 0.7})));
+  }
+  SchedulePlan plan;
+  dp.ScheduleInto(queries, TwoModelEnv(), &plan);
+  const ScheduleDecision* storage = plan.decisions.data();
+  for (size_t n : {size_t{3}, size_t{6}, size_t{1}}) {
+    const std::span<const SchedulerQuery> window =
+        std::span(queries).first(n);
+    dp.ScheduleInto(window, TwoModelEnv(), &plan);
+    const SchedulePlan fresh = dp.Schedule(window, TwoModelEnv());
+    EXPECT_EQ(plan.decisions.data(), storage) << "plan reallocated at " << n;
+    ASSERT_EQ(plan.decisions.size(), fresh.decisions.size());
+    for (size_t i = 0; i < fresh.decisions.size(); ++i) {
+      EXPECT_EQ(plan.decisions[i].query_id, fresh.decisions[i].query_id);
+      EXPECT_EQ(plan.decisions[i].subset, fresh.decisions[i].subset);
+      EXPECT_EQ(plan.decisions[i].completion, fresh.decisions[i].completion);
+    }
+    EXPECT_EQ(plan.total_utility, fresh.total_utility);
+  }
 }
 
 TEST(DpSchedulerTest, MaxQueriesWindowDefersTail) {

@@ -183,5 +183,86 @@ TEST_F(SchemblePolicyTest, OracleScoresSeparateEasyFromHard) {
   EXPECT_LT(policy.ScoreOf(50), policy.ScoreOf(51));
 }
 
+TEST_F(SchemblePolicyTest, PlanEntriesCarryTheirSnapshotPosition) {
+  for (BufferScheduler scheduler :
+       {BufferScheduler::kDp, BufferScheduler::kGreedyEdf}) {
+    SchembleConfig config;
+    config.scheduler = scheduler;
+    SchemblePolicy policy = MakeOraclePolicy(config);
+    ServerView view = IdleView();
+    view.model_available_at = {0, 0, 30 * kMillisecond};
+    std::vector<TracedQuery> backlog;
+    // Deadlines descend with arrival order, so the plan's EDF order is the
+    // reverse of the snapshot order.
+    for (int i = 0; i < 8; ++i) {
+      backlog.push_back(MakeTraced(100 + i, 0.1 * i, 0,
+                                   (400 - 40 * i) * kMillisecond));
+    }
+    PlanWorkspace ws;
+    ws.state = policy.CreatePlanState();
+    for (const TracedQuery& tq : backlog) ws.buffer.push_back({&tq, 0, 0});
+    policy.PlanOnView(view, &ws);
+    ASSERT_FALSE(ws.output.assignments.empty());
+    for (const BufferedAssignment& a : ws.output.assignments) {
+      EXPECT_EQ(&ws.SnapshotOf(a), &ws.buffer[static_cast<size_t>(a.snapshot)]);
+      EXPECT_EQ(ws.buffer[static_cast<size_t>(a.snapshot)].traced->query.id,
+                a.query_id);
+    }
+  }
+}
+
+TEST_F(SchemblePolicyTest, ReusedPlanWorkspaceMatchesFreshOne) {
+  // One workspace reused across snapshots that grow and shrink must plan
+  // exactly what a fresh workspace plans: reused query slots may not leak
+  // the previous snapshot's state.
+  SchemblePolicy policy = MakeOraclePolicy();
+  ServerView view = IdleView();
+  view.model_available_at = {0, 20 * kMillisecond, 45 * kMillisecond};
+  std::vector<TracedQuery> backlog;
+  for (int i = 0; i < 12; ++i) {
+    backlog.push_back(MakeTraced(200 + i, (i % 5) * 0.2, 0,
+                                 (60 + 25 * (i % 7)) * kMillisecond));
+  }
+  PlanWorkspace reused;
+  reused.state = policy.CreatePlanState();
+  for (size_t size : {size_t{12}, size_t{3}, size_t{9}, size_t{1}, size_t{12}}) {
+    std::vector<const TracedQuery*> buffer;
+    reused.buffer.clear();
+    for (size_t i = backlog.size() - size; i < backlog.size(); ++i) {
+      buffer.push_back(&backlog[i]);
+      reused.buffer.push_back({&backlog[i], 0, 0});
+    }
+    policy.PlanOnView(view, &reused);
+    const PolicyOutput fresh = Plan(policy, view, buffer);
+    EXPECT_FALSE(fresh.assignments.empty());  // model 0 is idle
+    ASSERT_EQ(reused.output.assignments.size(), fresh.assignments.size())
+        << "snapshot of " << size;
+    for (size_t j = 0; j < fresh.assignments.size(); ++j) {
+      EXPECT_EQ(reused.output.assignments[j].query_id,
+                fresh.assignments[j].query_id);
+      EXPECT_EQ(reused.output.assignments[j].subset,
+                fresh.assignments[j].subset);
+      EXPECT_EQ(reused.output.assignments[j].snapshot,
+                fresh.assignments[j].snapshot);
+    }
+    EXPECT_EQ(reused.output.overhead_us, fresh.overhead_us);
+  }
+}
+
+TEST_F(SchemblePolicyTest, UtilityRowIsAReferenceIntoTheProfile) {
+  EXPECT_EQ(&profile_->UtilityRow(0.3), &profile_->UtilityRow(0.3));
+}
+
+TEST(PlanWorkspaceDeathTest, CommitOutsideTheSnapshotDies) {
+  TracedQuery tq;
+  tq.query.id = 7;
+  PlanWorkspace ws;
+  ws.buffer.push_back({&tq, 0, 0});
+  EXPECT_DEATH(ws.SnapshotOf({7, 1, 1}), "outside its snapshot");
+  EXPECT_DEATH(ws.SnapshotOf({7, 1, -1}), "outside its snapshot");
+  EXPECT_DEATH(ws.SnapshotOf({8, 1, 0}), "holds another query");
+  EXPECT_EQ(&ws.SnapshotOf({7, 1, 0}), &ws.buffer[0]);
+}
+
 }  // namespace
 }  // namespace schemble

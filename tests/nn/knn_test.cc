@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace schemble {
@@ -14,6 +15,55 @@ TEST(KnnIndexTest, BuildRejectsBadInput) {
   // Mismatch after a long valid prefix, and an empty row mid-list.
   EXPECT_FALSE(KnnIndex::Build({{1.0, 2.0}, {3.0, 4.0}, {5.0}}).ok());
   EXPECT_FALSE(KnnIndex::Build({{1.0}, {}, {2.0}}).ok());
+}
+
+TEST(KnnIndexTest, BuildRejectsNonFiniteRecords) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {nan, inf, -inf}) {
+    auto built = KnnIndex::Build({{1.0, 2.0}, {3.0, bad}});
+    ASSERT_FALSE(built.ok()) << bad;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(KnnIndex::Build({{1.0, 2.0}, {3.0, 1e308}}).ok());
+}
+
+TEST(KnnIndexTest, BuildRejectsBadIndexedMasks) {
+  const std::vector<std::vector<double>> records = {{1.0, 2.0}, {3.0, 4.0}};
+  EXPECT_FALSE(KnnIndex::Build(records, {{true}}).ok());
+  EXPECT_FALSE(KnnIndex::Build(records, {{true, false, true}}).ok());
+  EXPECT_FALSE(KnnIndex::Build(records, {{false, false}}).ok());
+  EXPECT_TRUE(KnnIndex::Build(records, {{true, false}}).ok());
+}
+
+TEST(KnnIndexTest, TreesOnlyForNarrowIndexedMasks) {
+  const int dim = KnnIndex::kMaxTreeColumns + 2;
+  std::vector<std::vector<double>> records(40, std::vector<double>(dim));
+  for (int r = 0; r < 40; ++r) {
+    for (int d = 0; d < dim; ++d) records[r][d] = r * 0.25 - d;
+  }
+  std::vector<bool> narrow(dim, false);
+  narrow[1] = narrow[3] = true;
+  std::vector<bool> widest(dim, false);
+  for (int d = 0; d < KnnIndex::kMaxTreeColumns; ++d) widest[d] = true;
+  std::vector<bool> too_wide(dim, true);
+  too_wide[0] = false;
+  auto built = KnnIndex::Build(records, {narrow, widest, too_wide});
+  ASSERT_TRUE(built.ok());
+  const KnnIndex& index = built.value();
+  EXPECT_TRUE(index.HasTree(narrow));
+  EXPECT_TRUE(index.HasTree(widest));
+  EXPECT_FALSE(index.HasTree(too_wide));
+  EXPECT_FALSE(KnnIndex::Build(records).value().HasTree(narrow));
+
+  KnnIndex::Workspace ws;
+  std::vector<KnnIndex::Neighbor> out;
+  const std::vector<double> point(dim, 0.5);
+  index.QueryInto(point, narrow, 3, &ws, &out);
+  EXPECT_EQ(ws.stats.tree_queries, 1);
+  index.QueryInto(point, too_wide, 3, &ws, &out);
+  EXPECT_EQ(ws.stats.tree_queries, 1);
+  EXPECT_EQ(ws.stats.queries, 2);
 }
 
 TEST(KnnIndexTest, BuildRepacksRowMajor) {

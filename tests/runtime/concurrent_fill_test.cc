@@ -1,6 +1,7 @@
 // Concurrency surface of the allocation-free KNN fill path: a single
 // const KnnIndex shared by many threads (each with its own Workspace)
-// must produce bit-identical fills with no data races, and a
+// must produce bit-identical fills with no data races on both search
+// paths (one const k-d tree read by every thread, and the scan), and a
 // ConcurrentServer configured with the stacking aggregator must run the
 // KNN fill + meta-classifier completion path from its worker/deadline
 // threads outside the policy mutex. Part of the `runtime` ctest label so
@@ -31,39 +32,48 @@ TEST(ConcurrentFillTest, SharedIndexBatchFillFromManyThreadsIsBitIdentical) {
   for (auto& r : records) {
     for (double& v : r) v = rng.Normal();
   }
-  auto built = KnnIndex::Build(std::move(records));
+  // `indexed` gets a k-d tree at Build; `scanned` has more observed
+  // columns than a tree takes and keeps the scan.
+  const std::vector<bool> indexed = {true, false, false, true, false,
+                                     true, false, false, true, false};
+  const std::vector<bool> scanned = {true, true, true, true, false,
+                                     true, true, false, true, true};
+  auto built = KnnIndex::Build(std::move(records), {indexed, scanned});
   ASSERT_TRUE(built.ok());
   const KnnIndex& index = built.value();
-  const std::vector<bool> mask = {true, false, true, true, false,
-                                  true, false, true, true, false};
+  ASSERT_TRUE(index.HasTree(indexed));
+  ASSERT_FALSE(index.HasTree(scanned));
   std::vector<std::vector<double>> points(48, std::vector<double>(10));
   for (auto& p : points) {
     for (double& v : p) v = rng.Normal();
   }
 
-  // Golden single-threaded result.
-  KnnIndex::Workspace golden_ws;
-  std::vector<std::vector<double>> golden;
-  index.FillMissingBatch(points, mask, 12, &golden_ws, &golden);
+  for (const std::vector<bool>* mask : {&indexed, &scanned}) {
+    SCOPED_TRACE(mask == &indexed ? "tree" : "scan");
+    // Golden single-threaded result.
+    KnnIndex::Workspace golden_ws;
+    std::vector<std::vector<double>> golden;
+    index.FillMissingBatch(points, *mask, 12, &golden_ws, &golden);
 
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-  std::vector<std::vector<std::vector<double>>> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // One workspace per thread: the index itself is immutable and
-      // shared; all mutable scratch is thread-private.
-      KnnIndex::Workspace ws;
-      for (int round = 0; round < kRounds; ++round) {
-        index.FillMissingBatch(points, mask, 12, &ws, &results[t]);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], golden) << "thread " << t;
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 25;
+    std::vector<std::vector<std::vector<double>>> results(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // One workspace per thread: the index itself is immutable and
+        // shared; all mutable scratch is thread-private.
+        KnnIndex::Workspace ws;
+        for (int round = 0; round < kRounds; ++round) {
+          index.FillMissingBatch(points, *mask, 12, &ws, &results[t]);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(results[t], golden) << "thread " << t;
+    }
   }
 }
 

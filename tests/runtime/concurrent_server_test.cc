@@ -228,8 +228,9 @@ class SlowPlanPolicy : public ServingPolicy {
     // whole deadline windows elapse while the policy mutex is free and
     // the deadline thread finalizes snapshotted queries under it.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    for (const SnapshotQuery& snap : ws->buffer) {
-      ws->output.assignments.push_back({snap.traced->query.id, SubsetMask{1}});
+    for (size_t i = 0; i < ws->buffer.size(); ++i) {
+      ws->output.assignments.push_back({ws->buffer[i].traced->query.id,
+                                        SubsetMask{1}, static_cast<int>(i)});
     }
   }
 };
@@ -279,9 +280,10 @@ class CountingPlanPolicy : public ServingPolicy {
     plan_calls.fetch_add(1);
     ws->output.assignments.clear();
     ws->output.overhead_us = 0;
-    for (const SnapshotQuery& snap : ws->buffer) {
-      ws->output.assignments.push_back(
-          {snap.traced->query.id, FullMask(view.num_models())});
+    for (size_t i = 0; i < ws->buffer.size(); ++i) {
+      ws->output.assignments.push_back({ws->buffer[i].traced->query.id,
+                                        FullMask(view.num_models()),
+                                        static_cast<int>(i)});
     }
   }
 

@@ -64,12 +64,13 @@ TEST(LockDisciplineDeathTest, AssertHeldWithoutLockDies) {
 
 // --- hot-path grow-event guards -------------------------------------------
 
-KnnIndex BuildSmallIndex() {
+/// 64 records, so the k-d tree of an indexed mask has several levels.
+KnnIndex BuildSmallIndex(const std::vector<std::vector<bool>>& indexed = {}) {
   std::vector<std::vector<double>> records;
-  for (int r = 0; r < 16; ++r) {
-    records.push_back({1.0 * r, 2.0 * r, 3.0 * r, 4.0 * r});
+  for (int r = 0; r < 64; ++r) {
+    records.push_back({1.0 * r, 2.0 * (r % 7), 3.0 * r, 4.0 * (r % 5)});
   }
-  auto built = KnnIndex::Build(std::move(records));
+  auto built = KnnIndex::Build(std::move(records), indexed);
   SCHEMBLE_CHECK(built.ok());
   return std::move(built).value();
 }
@@ -99,31 +100,45 @@ TEST(GrowGuardDeathTest, ColdMatrixApplyInsideGuardDies) {
 }
 
 TEST(GrowGuardTest, SteadyStateKnnQueryIsGrowFree) {
-  const KnnIndex index = BuildSmallIndex();
-  const std::vector<double> point = {1.5, 3.0, 4.5, 6.0};
   const std::vector<bool> mask = {true, true, false, true};
-  KnnIndex::Workspace ws;
-  std::vector<KnnIndex::Neighbor> out;
-  index.QueryInto(point, mask, 3, &ws, &out);  // warm-up
-  {
-    ScopedGrowGuard guard(ws.stats.grow_events, "KnnIndex::QueryInto");
-    for (int i = 0; i < 100; ++i) index.QueryInto(point, mask, 3, &ws, &out);
+  // The same query on the scan path and on mask's k-d tree.
+  for (const bool indexed : {false, true}) {
+    const KnnIndex index =
+        indexed ? BuildSmallIndex({mask}) : BuildSmallIndex();
+    KnnIndex::Workspace ws;
+    std::vector<KnnIndex::Neighbor> out;
+    std::vector<double> point = {1.5, 3.0, 4.5, 6.0};
+    index.QueryInto(point, mask, 3, &ws, &out);  // warm-up
+    index.FillMissingInto(point, mask, 3, &ws, &point);
+    {
+      ScopedGrowGuard guard(ws.stats.grow_events, "KnnIndex::QueryInto");
+      for (int i = 0; i < 100; ++i) {
+        point[0] = 0.7 * i;  // walk the tree down different paths
+        index.QueryInto(point, mask, 3, &ws, &out);
+        index.FillMissingInto(point, mask, 3, &ws, &point);
+      }
+    }
+    EXPECT_EQ(ws.stats.queries, 202);
+    EXPECT_EQ(ws.stats.tree_queries, indexed ? 202 : 0);
   }
-  EXPECT_EQ(ws.stats.queries, 101);
 }
 
 TEST(GrowGuardDeathTest, ColdKnnWorkspaceInsideGuardDies) {
-  const KnnIndex index = BuildSmallIndex();
   const std::vector<double> point = {1.5, 3.0, 4.5, 6.0};
   const std::vector<bool> mask = {true, true, false, true};
-  EXPECT_DEATH(
-      {
-        KnnIndex::Workspace cold;
-        std::vector<KnnIndex::Neighbor> out;
-        ScopedGrowGuard guard(cold.stats.grow_events, "KnnIndex::QueryInto");
-        index.QueryInto(point, mask, 3, &cold, &out);
-      },
-      "grow events inside KnnIndex::QueryInto");
+  for (const bool indexed : {false, true}) {
+    const KnnIndex index =
+        indexed ? BuildSmallIndex({mask}) : BuildSmallIndex();
+    EXPECT_DEATH(
+        {
+          KnnIndex::Workspace cold;
+          std::vector<KnnIndex::Neighbor> out;
+          ScopedGrowGuard guard(cold.stats.grow_events,
+                                "KnnIndex::QueryInto");
+          index.QueryInto(point, mask, 3, &cold, &out);
+        },
+        "grow events inside KnnIndex::QueryInto");
+  }
 }
 
 TEST(GrowGuardTest, BaselineIsCapturedAtConstruction) {
