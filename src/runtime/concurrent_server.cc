@@ -38,7 +38,6 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   SCHEMBLE_CHECK_GT(options_.queue_capacity, 0);
   SCHEMBLE_CHECK_GT(options_.inbox_capacity, 0);
   SCHEMBLE_CHECK_GT(options_.steal_batch, 0);
-  SCHEMBLE_CHECK_GT(options_.rebalance_period, 0);
   SCHEMBLE_CHECK_GE(options_.max_batch, 0);
   SCHEMBLE_CHECK_GT(options_.num_arrival_threads, 0)
       << "at least one arrival pump is required";
@@ -192,16 +191,16 @@ void ConcurrentServer::ArrivalPumpLoop(int pump) {
                                      ? nullptr
                                      : pump_routers_[static_cast<size_t>(
                                                          pump)].get());
-  const std::vector<int>& owned = pump_indices_[static_cast<size_t>(pump)];
+  const std::vector<int>& mine = pump_indices_[static_cast<size_t>(pump)];
   // Reused across batches; capacities pin at the largest batch.
   std::vector<std::vector<int>> routed(domains_.size());
   std::vector<DomainLoad> loads;
   int64_t routed_total = 0;
   size_t i = 0;
-  while (i < owned.size()) {
-    // Each pump paces its own partition: owned indices are ascending, so
+  while (i < mine.size()) {
+    // Each pump paces its own partition: its indices are ascending, so
     // per-pump arrival order is the trace order of its slice.
-    const TracedQuery& head = trace_->items[static_cast<size_t>(owned[i])];
+    const TracedQuery& head = trace_->items[static_cast<size_t>(mine[i])];
     clock_->SleepUntil(head.arrival_time + processing_delay);
     const SimTime now = clock_->Now();
     for (std::vector<int>& r : routed) r.clear();
@@ -213,10 +212,10 @@ void ConcurrentServer::ArrivalPumpLoop(int pump) {
         loads.push_back(domain->Load());  // crosses(domain)
       }
     }
-    // Batched routing: every owned arrival already due is placed in this
-    // pass.
-    while (i < owned.size()) {
-      const int index = owned[i];
+    // Batched routing: every arrival of this partition already due is
+    // placed in this pass.
+    while (i < mine.size()) {
+      const int index = mine[i];
       const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
       if (tq.arrival_time + processing_delay > now) break;
       int d = 0;

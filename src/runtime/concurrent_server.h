@@ -72,8 +72,6 @@ struct ConcurrentServerOptions {
   int inbox_capacity = 4096;
   /// Max queries moved per work-steal / per rebalance donation round.
   int steal_batch = 16;
-  /// Virtual period of the per-domain rebalance tick (multi-domain only).
-  SimTime rebalance_period = 10 * kMillisecond;
   /// Per-executor fault injection for stress scenarios, indexed like
   /// executor_models (global executor id). Empty = every executor clean.
   /// Fail-stop scenarios must leave >= 1 live replica per model per domain

@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "simcore/simulation.h"
 #include "workload/trace.h"
@@ -26,7 +25,7 @@ struct DomainLoad {
   /// Tasks in the domain's executor queues (including undrained run
   /// tails, see WorkerLoop).
   int64_t queued_tasks = 0;
-  /// Executors owned by the domain; immutable after construction.
+  /// Executors of the domain; immutable after construction.
   int executors = 0;
 };
 
@@ -55,10 +54,10 @@ int64_t LevellingTransfer(const DomainLoad& from, const DomainLoad& to);
 /// state (round-robin cursors) — concurrency across pumps comes from one
 /// instance per pump, never from sharing. Implementations must be
 /// deterministic functions of (query, now, domains) and their own call
-/// history — the routing unit tests replay fixed sequences against a
-/// ManualClock. The load span an instance sees is a pump-local copy of the
-/// domains' Load() read once per batch: slightly stale by design, mutated
-/// only by the pump's own in-batch compensation.
+/// history — the routing unit tests replay fixed sequences. The load span
+/// an instance sees is a pump-local copy of the domains' Load() read once
+/// per batch: slightly stale by design, mutated only by the pump's own
+/// in-batch compensation.
 class RoutingPolicy {
  public:
   virtual ~RoutingPolicy() = default;
@@ -66,21 +65,10 @@ class RoutingPolicy {
   virtual std::string name() const = 0;
 
   /// Returns the target domain index in [0, domains.size()). `now` is the
-  /// current virtual time (deadline-aware policies route on slack).
+  /// current virtual time (a policy may route on deadline slack).
   /// `domains` is never empty.
   virtual int Route(const TracedQuery& query, SimTime now,
                     std::span<const DomainLoad> domains) = 0;
-};
-
-/// Stateless hash placement: splitmix64 of the query id modulo the domain
-/// count. Stable — the same query id always lands on the same domain for a
-/// fixed domain count — and load-oblivious, so bursts of consecutive ids
-/// still spread uniformly.
-class HashRouting final : public RoutingPolicy {
- public:
-  std::string name() const override { return "hash"; }
-  int Route(const TracedQuery& query, SimTime now,
-            std::span<const DomainLoad> domains) override;
 };
 
 /// Cyclic placement: domain (i mod n) for the i-th routed query.
@@ -105,33 +93,9 @@ class LeastLoadedRouting final : public RoutingPolicy {
             std::span<const DomainLoad> domains) override;
 };
 
-/// Deadline-class placement: queries are bucketed by slack (deadline -
-/// now) against ascending class boundaries, and class c maps to domain
-/// min(c, n-1) — tight-deadline traffic concentrates on the low domains,
-/// which a deadline-aware deployment provisions accordingly (TIP-Search
-/// style deadline-tiered dispatch).
-class DeadlineClassRouting final : public RoutingPolicy {
- public:
-  /// `boundaries` must be strictly ascending; slack < boundaries[c] puts
-  /// the query in class c, anything >= the last boundary in class
-  /// boundaries.size().
-  explicit DeadlineClassRouting(std::vector<SimTime> boundaries);
-  /// Default tiers: 100 ms / 500 ms / 2 s of slack.
-  DeadlineClassRouting();
-
-  std::string name() const override { return "deadline-class"; }
-  int Route(const TracedQuery& query, SimTime now,
-            std::span<const DomainLoad> domains) override;
-
- private:
-  std::vector<SimTime> boundaries_;
-};
-
 enum class RoutingPolicyKind {
-  kHash,
   kRoundRobin,
   kLeastLoaded,
-  kDeadlineClass,
 };
 
 std::unique_ptr<RoutingPolicy> MakeRoutingPolicy(RoutingPolicyKind kind);

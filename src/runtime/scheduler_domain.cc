@@ -12,10 +12,14 @@
 namespace schemble {
 namespace {
 
-/// Real-time floor of the multi-domain scheduler tick. The tick is
-/// rebalance_period of virtual time (10 ms by default), which is 1 us real
-/// at speedup 1e4 and 0.1 ns at 1e8; unfloored, every multi-domain
-/// scheduler would wake continuously just to find nothing to steal.
+/// Virtual period of the multi-domain scheduler tick, and the minimum gap
+/// between rebalances on signal-driven rounds.
+constexpr SimTime kRebalancePeriod = 10 * kMillisecond;
+
+/// Real-time floor of the multi-domain scheduler tick. kRebalancePeriod is
+/// 1 us real at speedup 1e4 and 0.1 ns at 1e8; unfloored, every
+/// multi-domain scheduler would wake continuously just to find nothing to
+/// steal.
 constexpr std::chrono::nanoseconds kSchedulerTickFloor =
     std::chrono::microseconds(200);
 
@@ -143,8 +147,7 @@ void SchedulerDomain::Start() {
   clock_ = &host_->clock();
   {
     MutexLock lock(&mu_);
-    states_.assign(trace_->items.size(), QueryState{});
-    buffer_.clear();
+    lifecycle_.Reset(trace_->items.size());
     PublishBufferedLocked();
   }
   threads_.emplace_back([this] {
@@ -191,12 +194,6 @@ void SchedulerDomain::PushRouted(std::span<const int> indices) {
   if (pushed == 0) return;  // closed: shutdown already decided
   inbox_depth_.fetch_add(static_cast<int64_t>(pushed),
                          std::memory_order_acq_rel);
-}
-
-bool SchedulerDomain::TryPushRouted(int index) {
-  if (!inbox_.TryPush(index)) return false;
-  inbox_depth_.fetch_add(1, std::memory_order_acq_rel);
-  return true;
 }
 
 size_t SchedulerDomain::TryPushRoutedAll(std::span<const int> indices) {
@@ -276,34 +273,23 @@ SCHEMBLE_HOT void SchedulerDomain::BuildViewInto(ServerView* view) const {
 SCHEMBLE_HOT void SchedulerDomain::SnapshotBufferLocked(
     PlanWorkspace* ws) const {
   ws->buffer.clear();
-  for (int index : buffer_) {
+  for (int index : lifecycle_.buffer()) {
     ws->buffer.push_back(  // hot-ok: capacity tracks the buffer high-water
         {&trace_->items[static_cast<size_t>(index)], index,
-         states_[static_cast<size_t>(index)].generation});
+         lifecycle_.state(index).generation()});
   }
 }
 
 void SchedulerDomain::CommitLocked(int index, SubsetMask subset) {
-  QueryState& state = states_[static_cast<size_t>(index)];
-  SCHEMBLE_CHECK_EQ(state.assigned, 0u);
-  SCHEMBLE_CHECK_NE(subset, 0u);
-  state.assigned = subset;
-  ++state.generation;
-  if (state.buffered) {
-    state.buffered = false;
-    buffer_.erase(std::find(buffer_.begin(), buffer_.end(), index));
-    PublishBufferedLocked();
-  }
+  const bool buffered = lifecycle_.phase(index) == QueryPhase::kBuffered;
+  lifecycle_.Assign(index, subset);
+  if (buffered) PublishBufferedLocked();
 }
 
 bool SchedulerDomain::ClaimFinalizeLocked(int index) {
-  QueryState& state = states_[static_cast<size_t>(index)];
-  if (state.finalized) return false;
-  state.finalized = true;
-  ++state.generation;
-  if (state.buffered) {
-    state.buffered = false;
-    buffer_.erase(std::find(buffer_.begin(), buffer_.end(), index));
+  const bool buffered = lifecycle_.phase(index) == QueryPhase::kBuffered;
+  if (!lifecycle_.Finalize(index)) return false;
+  if (buffered) {
     PublishBufferedLocked();
     // Buffer membership changed under the planner's feet: the next
     // scheduler round must re-plan (never skip).
@@ -325,12 +311,12 @@ SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
   {
     MutexLock lock(&mu_);
     for (const Commit& commit : commits) {
-      const QueryState& state = states_[static_cast<size_t>(commit.index)];
-      if (state.finalized) continue;
+      const QueryLifecycle::QueryState& state = lifecycle_.state(commit.index);
+      if (state.phase() == QueryPhase::kFinalized) continue;
       scratch->live.push_back(commit);  // hot-ok: bounded by batch size
       // Stamp the post-commit generation: completions (and fail-stop
       // re-queues) of the dispatched tasks only apply while it matches.
-      scratch->live.back().generation = state.generation;
+      scratch->live.back().generation = state.generation();
     }
   }
   if (scratch->live.empty()) return;
@@ -407,7 +393,7 @@ SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
   }
 }
 
-SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
+SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
                                               ServerView* view,
                                               SchedulerScratch* s) {
   s->to_enqueue.clear();
@@ -425,11 +411,9 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
     // earlier ones just added.
     for (const int index : indices) {
       const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-      QueryState& state = states_[static_cast<size_t>(index)];
-      SCHEMBLE_CHECK(!state.owned && !state.finalized)
+      SCHEMBLE_CHECK(lifecycle_.phase(index) == QueryPhase::kPending)
           << "query " << tq.query.id << " routed to domain "
           << slice_.domain_id << " twice";
-      state.owned = true;
       if (options_.allow_rejection && view->now >= tq.deadline) {
         // The deadline beat admission (the query sat in an inbox or the
         // routing batch while its deadline passed): finalize as a miss
@@ -496,8 +480,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
           }
           break;
         case ArrivalDecision::Action::kBuffer:
-          state.buffered = true;
-          buffer_.push_back(index);  // hot-ok: tracks the buffer high-water
+          lifecycle_.Buffer(index);
           PublishBufferedLocked();
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
@@ -515,7 +498,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
     // Scheduler wakeup folded into the admission critical section (same
     // idiom as worker completions): anything buffered deserves a planning
     // round.
-    if (!buffer_.empty()) {
+    if (!lifecycle_.buffer().empty()) {
       scheduler_signal_ = true;
       notify_scheduler = true;
     }
@@ -540,7 +523,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
   {
     MutexLock lock(&mu_);
     if (shutdown_) return false;
-    if (buffer_.empty()) return true;
+    if (lifecycle_.buffer().empty()) return true;
     // Replan avoidance: when nothing that feeds the planner changed since
     // the last planned snapshot (no admission assigned or buffered, no
     // batch completed, no buffered query finalized/donated/re-queued),
@@ -602,13 +585,10 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
          plan_ws->output.assignments) {
       SCHEMBLE_CHECK_NE(assignment.subset, 0u);
       const SnapshotQuery& snap = plan_ws->SnapshotOf(assignment);
-      const QueryState& state = states_[static_cast<size_t>(snap.index)];
-      if (state.generation != snap.generation) {
+      if (lifecycle_.state(snap.index).generation() != snap.generation) {
         ++invalidated;
         continue;
       }
-      SCHEMBLE_DCHECK(!state.finalized && state.assigned == 0u)
-          << "generation matched but the query moved on";
       CommitLocked(snap.index, assignment.subset);
       s->commits.push_back({snap.index, assignment.subset});
     }
@@ -619,7 +599,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
       plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
       // Part of the plan went stale: immediately re-plan whatever is
       // still buffered against fresh state (self-signal).
-      if (!buffer_.empty()) {
+      if (!lifecycle_.buffer().empty()) {
         // relaxed-ok: monotonic telemetry counter
         replans_.fetch_add(1, std::memory_order_relaxed);
         scheduler_signal_ = true;
@@ -627,10 +607,10 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
       }
     }
     *last_planned_gen = snapshot_gen;
-    idle_and_stuck = s->commits.empty() && arrivals_done_ && !buffer_.empty();
-    // Snapshot for the off-lock error log below: buffer_ is guarded and
+    // Snapshot for the off-lock error log below: the buffer is guarded and
     // workers may finalize (and un-buffer) queries concurrently.
-    stuck_buffered = buffer_.size();
+    stuck_buffered = lifecycle_.buffer().size();
+    idle_and_stuck = s->commits.empty() && arrivals_done_ && stuck_buffered > 0;
   }
   if (!s->commits.empty()) {
     // The simulator charges scheduling overhead by delaying the
@@ -692,15 +672,16 @@ void SchedulerDomain::MaybeSteal(ServerView* view, SchedulerScratch* s) {
   AdmitBatch(s->stolen, view, s);
 }
 
-void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
+void SchedulerDomain::MaybeRebalance(ServerView* view, SchedulerScratch* s) {
   s->donations.clear();
   int target = -1;
   {
     MutexLock lock(&mu_);
     if (shutdown_) return;
+    const std::vector<int>& buffer = lifecycle_.buffer();
     // Only shed load when the buffer is deep relative to our executor
     // slice — a couple of in-flight plans' worth stays local.
-    if (buffer_.size() <= 2 * executors_.size()) return;
+    if (buffer.size() <= 2 * executors_.size()) return;
     DomainLoad best;
     for (int d = 0; d < host_->num_domains(); ++d) {
       if (d == slice_.domain_id) continue;
@@ -721,37 +702,22 @@ void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
     // the same queries straight back.
     const size_t batch = std::min(
         {static_cast<size_t>(options_.steal_batch),
-         buffer_.size() - executors_.size(),
+         buffer.size() - executors_.size(),
          static_cast<size_t>(LevellingTransfer(mine, best))});
-    for (size_t i = 0; i < batch; ++i) {
-      const int index = buffer_.back();
-      buffer_.pop_back();
-      QueryState& state = states_[static_cast<size_t>(index)];
-      SCHEMBLE_DCHECK(state.buffered && state.owned && !state.finalized &&
-                      state.assigned == 0u);
-      state.buffered = false;
-      state.owned = false;
-      // Invalidate any in-flight plan entry for the migrating query.
-      ++state.generation;
-      s->donations.push_back(index);
-    }
+    // The newest queries leave, newest first. Release bumps each one's
+    // generation, invalidating any in-flight plan entry for it.
+    s->donations.assign(buffer.rbegin(),
+                        buffer.rbegin() + static_cast<ptrdiff_t>(batch));
+    for (const int index : s->donations) lifecycle_.Release(index);
     PublishBufferedLocked();
     // Donations shrank the buffer: invalidate any skip decision pending on
     // the old view.
     if (!s->donations.empty()) ++view_generation_;
   }
   if (s->donations.empty()) return;
-  SchedulerDomain& peer = host_->peer(target);
-  size_t sent = 0;
-  size_t kept = 0;
-  for (const int index : s->donations) {
-    if (peer.TryPushRouted(index)) {  // crosses(domain)
-      ++sent;
-    } else {
-      // Recipient inbox full/closed: keep the leftover local.
-      s->donations[kept++] = index;
-    }
-  }
+  const std::span<const int> donations(s->donations);
+  const size_t sent =
+      host_->peer(target).TryPushRoutedAll(donations);  // crosses(domain)
   if (sent > 0) {
     // No explicit wakeup: the recipient's blocking admitter is woken by
     // its inbox's own condition variable.
@@ -759,31 +725,8 @@ void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
     rebalances_.fetch_add(1, std::memory_order_relaxed);
     donated_.fetch_add(static_cast<int64_t>(sent), std::memory_order_relaxed);
   }
-  if (kept > 0) {
-    bool readmitted = false;
-    {
-      MutexLock lock(&mu_);
-      for (size_t i = 0; i < kept; ++i) {
-        const int index = s->donations[i];
-        QueryState& state = states_[static_cast<size_t>(index)];
-        if (state.finalized) continue;
-        state.owned = true;
-        state.buffered = true;
-        buffer_.push_back(index);
-        // The deadline thread may have popped (and skipped) this query's
-        // heap entry during the un-owned window; re-arm unconditionally —
-        // duplicate entries are dropped on pop via the finalized check.
-        if (options_.allow_rejection) {
-          const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-          deadline_heap_.push({tq.deadline, index});
-        }
-        readmitted = true;
-      }
-      PublishBufferedLocked();
-      if (readmitted) ++view_generation_;
-    }
-    if (readmitted) deadline_cv_.NotifyAll();
-  }
+  // Recipient inbox full or closed: re-admit the rest here.
+  if (sent < donations.size()) AdmitBatch(donations.subspan(sent), view, s);
 }
 
 void SchedulerDomain::AdmitterLoop() {
@@ -810,8 +753,7 @@ void SchedulerDomain::AdmitterLoop() {
 void SchedulerDomain::SchedulerLoop() {
   const bool multi = host_->num_domains() > 1;
   const std::chrono::nanoseconds tick = std::max(
-      RealDuration(options_.rebalance_period, options_.speedup),
-      kSchedulerTickFloor);
+      RealDuration(kRebalancePeriod, options_.speedup), kSchedulerTickFloor);
   PlanWorkspace plan_ws;
   plan_ws.state = policy_->CreatePlanState();
   ServerView view;
@@ -853,9 +795,9 @@ void SchedulerDomain::SchedulerLoop() {
     if (multi) {
       MaybeSteal(&view, &scratch);
       const SimTime now = clock_->Now();
-      if (tick_fired || now - last_rebalance >= options_.rebalance_period) {
+      if (tick_fired || now - last_rebalance >= kRebalancePeriod) {
         last_rebalance = now;
-        MaybeRebalance(&scratch);
+        MaybeRebalance(&view, &scratch);
       }
     }
   }
@@ -863,8 +805,8 @@ void SchedulerDomain::SchedulerLoop() {
 
 void SchedulerDomain::DeadlineLoop() {
   // Deadlines are armed at admission (assign or buffer) and walked in
-  // order; stale entries — finalized queries, queries donated away during
-  // the un-owned window — are dropped on pop. Sleeps on the domain mutex's
+  // order; stale entries — finalized queries, queries released to a peer
+  // or for re-admission — are dropped on pop. Sleeps on the domain mutex's
   // condition variable so newly admitted earlier deadlines and shutdown
   // both interrupt the wait.
   MutexLock lock(&mu_);
@@ -880,15 +822,13 @@ void SchedulerDomain::DeadlineLoop() {
       continue;
     }
     deadline_heap_.pop();
-    const QueryState& state = states_[static_cast<size_t>(index)];
-    // Un-owned: the query migrated to a peer (its heap covers the
-    // deadline) or is in flight to one (the recipient's admission path
-    // finalizes overdue queries immediately).
-    if (!state.owned) continue;
+    // Pending: released to a peer (its heap covers the deadline) or for
+    // re-admission here (AdmitBatch re-arms the deadline, or finalizes the
+    // query at once if it is already overdue).
+    if (lifecycle_.phase(index) == QueryPhase::kPending) continue;
     if (!ClaimFinalizeLocked(index)) continue;
-    const SubsetMask outputs = state.done;
-    const SimTime completion =
-        outputs != 0 ? state.last_done_time : clock_->Now();
+    const auto [outputs, completion] =
+        lifecycle_.DeadlineOutcome(index, clock_->Now());
     lock.Release();
     host_->FinalizeQuery(slice_.domain_id, index, outputs, completion);
     lock.Acquire();
@@ -1010,15 +950,16 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
         MutexLock lock(&mu_);
         for (const Task& task : batch.tasks) {
           const int index = task.index;
-          QueryState& state = states_[static_cast<size_t>(index)];
-          if (!state.finalized && state.generation == task.generation) {
-            state.done |= SubsetMask{1} << ex.model;
-            state.last_done_time = clock_->Now();
-            if (state.done == state.assigned && ClaimFinalizeLocked(index)) {
+          const QueryLifecycle::QueryState& state = lifecycle_.state(index);
+          // Every finalize and release bumps the generation, so a match
+          // means the query is still assigned to this task's subset.
+          if (state.generation() == task.generation) {
+            if (lifecycle_.TaskDone(index, ex.model, clock_->Now()) &&
+                ClaimFinalizeLocked(index)) {
               finalizes.push_back(
-                  {index, state.done, state.last_done_time});
+                  {index, state.done(), state.last_done_time()});
             }
-          } else if (!state.finalized) {
+          } else if (state.phase() != QueryPhase::kFinalized) {
             // Generation moved on while this task was in service: the
             // query was re-queued after a sibling executor fail-stopped
             // (or donated away and re-planned). Its new assignment owns
@@ -1034,7 +975,7 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
         // Scheduler wakeup folded into the completion critical section:
         // capacity just freed up, so if anything is buffered the planner
         // should look at it. No separate notify lock round-trip.
-        if (!buffer_.empty()) {
+        if (!lifecycle_.buffer().empty()) {
           scheduler_signal_ = true;
           notify = true;
         }
@@ -1072,85 +1013,37 @@ void SchedulerDomain::FailStopExecutor(int executor_id,
 
 void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
   if (tasks.empty()) return;
-  std::vector<int> to_route;
-  to_route.reserve(tasks.size());
+  std::vector<int> readmit;
+  readmit.reserve(tasks.size());
   {
     MutexLock lock(&mu_);
     for (const Task& task : tasks) {
-      QueryState& state = states_[static_cast<size_t>(task.index)];
-      if (state.finalized || state.generation != task.generation) {
+      if (lifecycle_.state(task.index).generation() != task.generation) {
         // Finalized (deadline miss / shutdown drain) or already re-queued
         // via a sibling task of the same query: nothing left to recover.
         // relaxed-ok: monotonic telemetry counter
         stale_tasks_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      // A live task implies a dispatched query: owned by this domain, out
-      // of the buffer, with a committed subset. Anything else means a task
-      // leaked past the generation discipline.
-      SCHEMBLE_CHECK(state.owned && !state.buffered && state.assigned != 0u)
-          << "re-queued task for query in impossible state (domain "
-          << slice_.domain_id << ")";
-      // Full readmission: wipe the assignment (sibling in-flight tasks of
-      // the old subset turn stale via the generation bump and are dropped
-      // at completion) and send the query back through the domain inbox so
-      // the policy decides afresh against post-failure capacity.
-      state.assigned = 0;
-      state.done = 0;
-      state.owned = false;
-      ++state.generation;
-      to_route.push_back(task.index);
+      // Wipe the assignment: sibling in-flight tasks of the old subset
+      // turn stale via the generation bump and are dropped at completion.
+      lifecycle_.Release(task.index);
+      readmit.push_back(task.index);
     }
     // The wiped assignments freed executor capacity the planner projected
     // as consumed: never let a pending skip hide the recovery replan.
-    if (!to_route.empty()) ++view_generation_;
+    if (!readmit.empty()) ++view_generation_;
   }
-  if (to_route.empty()) return;
-  requeues_.fetch_add(static_cast<int64_t>(to_route.size()),
+  if (readmit.empty()) return;
+  requeues_.fetch_add(static_cast<int64_t>(readmit.size()),
                       // relaxed-ok: monotonic telemetry counter
                       std::memory_order_relaxed);
-  size_t kept = 0;
-  for (const int index : to_route) {
-    // Non-blocking: a blocking push from the admitter's own call stack
-    // (EnqueueBatch shortfall) would deadlock on a full inbox, since this
-    // thread is the only consumer. TryPushRouted wakes the admitter via
-    // the inbox condition variable.
-    if (!TryPushRouted(index)) to_route[kept++] = index;
-  }
-  if (kept == 0) return;
-  // Inbox full or closed: re-buffer the leftovers directly (same fallback
-  // as donation leftovers). The policy's arrival decision is skipped, but
-  // the scheduler's next planning round covers them; finalized queries
-  // cannot appear here (a query is only finalizable while owned, and these
-  // were un-owned for the whole window).
-  bool readmitted = false;
-  {
-    MutexLock lock(&mu_);
-    for (size_t i = 0; i < kept; ++i) {
-      const int index = to_route[i];
-      QueryState& state = states_[static_cast<size_t>(index)];
-      if (state.finalized) continue;
-      state.owned = true;
-      state.buffered = true;
-      buffer_.push_back(index);
-      // Re-arm the deadline: the heap entry may have popped (and been
-      // skipped as un-owned) during the window; duplicates drop on pop.
-      if (options_.allow_rejection) {
-        const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-        deadline_heap_.push({tq.deadline, index});
-      }
-      readmitted = true;
-    }
-    if (readmitted) {
-      PublishBufferedLocked();
-      scheduler_signal_ = true;
-      ++view_generation_;
-    }
-  }
-  if (readmitted) {
-    deadline_cv_.NotifyAll();
-    scheduler_cv_.NotifyOne();
-  }
+  // Full re-admission: the policy decides afresh against post-failure
+  // capacity. Fresh scratch and view, because an EnqueueBatch further up
+  // this call stack may still be iterating its own.
+  ServerView view;
+  SchedulerScratch scratch;
+  AdmitBatch(readmit, &view, &scratch);
 }
 
 }  // namespace schemble

@@ -15,6 +15,7 @@
 #include "models/synthetic_task.h"
 #include "runtime/mpmc_queue.h"
 #include "runtime/routing_policy.h"
+#include "serving/query_lifecycle.h"
 #include "simcore/clock.h"
 #include "workload/trace.h"
 
@@ -35,9 +36,10 @@ struct ExecutorFault {
   SimTime straggle_after = 0;
   double straggle_factor = 1.0;
   /// Fail-stop injection: the executor dies at the first task it examines
-  /// once the virtual clock passes `fail_at` (> 0 to enable). Its
-  /// in-flight and queued tasks are re-queued through the domain inbox and
-  /// re-admitted, so no query is ever lost to a failure.
+  /// once the virtual clock passes `fail_at` (> 0 to enable). The queries
+  /// of its in-flight and queued tasks are released and re-admitted
+  /// through the domain's AdmitBatch, so no query is ever lost to a
+  /// failure.
   SimTime fail_at = 0;
 
   bool clean() const {
@@ -96,12 +98,14 @@ struct DomainSlice {
 /// interact ONLY through each other's inboxes and published load atomics —
 /// never through a peer's mutex. Work-stealing pulls routed-but-unadmitted
 /// queries out of a peer's inbox with MpmcQueue::StealN; rebalancing
-/// donates buffered (admitted, unassigned) queries into a peer's inbox
-/// with TryPush (the recipient's blocking admitter picks them up),
-/// re-admitting locally whatever does not fit. A query is always owned by
-/// exactly one domain (or is in flight between two inboxes), which makes
-/// lost/duplicated queries structurally impossible; the host's
-/// exactly-once finalize CHECK enforces it.
+/// releases buffered (admitted, unassigned) queries and pushes them into a
+/// peer's inbox with TryPushRoutedAll (the recipient's blocking admitter
+/// picks them up), re-admitting locally through AdmitBatch whatever does
+/// not fit. Every way back into a domain goes through AdmitBatch, so a
+/// query is admitted (not kPending) in at most one domain at a time or is
+/// in flight in one inbox, which makes lost/duplicated queries
+/// structurally impossible; the host's exactly-once finalize CHECK
+/// enforces it.
 class SchedulerDomain {
  public:
   /// `options` is the owning server's configuration and must outlive the
@@ -127,13 +131,11 @@ class SchedulerDomain {
   /// condition variable). Admission-thread side of the fast path: never
   /// touches the domain mutex.
   void PushRouted(std::span<const int> indices);
-  /// Non-blocking single-query variant used by donating peers; false when
-  /// the inbox is full or closed.
-  bool TryPushRouted(int index);
-  /// Non-blocking batched variant (arrival-pump fast path): pushes a
-  /// prefix of `indices` bounded by the inbox's free space, never parking
-  /// the pump on this domain. Returns the number pushed; the pump falls
-  /// back to the blocking PushRouted for the remainder.
+  /// Non-blocking batched variant (arrival-pump fast path, donating
+  /// peers): pushes a prefix of `indices` bounded by the inbox's free
+  /// space, never parking the caller on this domain. Returns the number
+  /// pushed; the pump falls back to the blocking PushRouted for the
+  /// remainder, a donor re-admits it locally.
   size_t TryPushRoutedAll(std::span<const int> indices);
   /// Bulk-steals up to `max_items` routed-but-unadmitted queries without
   /// blocking this domain's threads (thief side of work-stealing). Appends
@@ -181,9 +183,9 @@ class SchedulerDomain {
     int64_t rebalances = 0;
     int64_t donated = 0;
     /// Fault-injection telemetry: executors that fail-stopped, queries
-    /// re-queued after losing a task to a failure (through the inbox or
-    /// the direct-to-buffer fallback), and stale tasks dropped because
-    /// their query had already been re-queued or finalized.
+    /// re-admitted after losing a task to a failure, and stale tasks
+    /// dropped because their query had already been re-queued or
+    /// finalized.
     int64_t failstops = 0;
     int64_t requeues = 0;
     int64_t stale_tasks_dropped = 0;
@@ -231,24 +233,6 @@ class SchedulerDomain {
     /// is closed and drained.
     std::atomic<bool> failed{false};
     std::atomic<int64_t> queued{0};
-  };
-
-  struct QueryState {
-    SubsetMask assigned = 0;
-    SubsetMask done = 0;
-    bool buffered = false;
-    bool finalized = false;
-    /// Admitted to this domain and not donated away. The deadline thread
-    /// skips un-owned heap entries (the query migrated; its new owner
-    /// covers the deadline), and admission CHECKs a query is never owned
-    /// twice without an intervening donation.
-    bool owned = false;
-    SimTime last_done_time = 0;
-    /// Bumped on every assign, finalize and donation. Snapshots taken for
-    /// off-lock planning record it per query; a mismatch at commit time
-    /// means the query moved on while the planner ran, so the plan entry
-    /// is dropped (counted in plans_invalidated).
-    uint64_t generation = 0;
   };
 
   /// One planned or admitted assignment awaiting dispatch. `generation` is
@@ -300,11 +284,12 @@ class SchedulerDomain {
   void DeadlineLoop() SCHEMBLE_EXCLUDES(mu_);
   void WorkerLoop(int executor_id) SCHEMBLE_EXCLUDES(mu_);
 
-  /// Admits a batch of routed (or stolen) trace indices: one critical
-  /// section running the policy's OnArrival per query with in-batch view
-  /// compensation, then off-lock dispatch/finalize work. Mirrors the
-  /// pre-sharding AdmissionLoop body.
-  void AdmitBatch(const std::vector<int>& indices, ServerView* view,
+  /// Admits a batch of kPending trace indices — routed, stolen, donation
+  /// leftovers or fail-stop requeues; the one way into a domain. One
+  /// critical section runs the policy's OnArrival per query with in-batch
+  /// view compensation and arms the deadlines, then dispatch/finalize work
+  /// runs off-lock.
+  void AdmitBatch(std::span<const int> indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
   /// shard. Returns false on shutdown. When `allow_skip` is set and the
@@ -320,9 +305,11 @@ class SchedulerDomain {
   void MaybeSteal(ServerView* view, SchedulerScratch* s)
       SCHEMBLE_EXCLUDES(mu_);
   /// Donor side of rebalancing: when this domain's buffer is deep and a
-  /// peer is far less loaded, move a tail batch of buffered queries into
-  /// that peer's inbox (TryPush; leftovers are re-admitted locally).
-  void MaybeRebalance(SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
+  /// peer is far less loaded, release a tail batch of buffered queries
+  /// into that peer's inbox (TryPushRoutedAll; leftovers are re-admitted
+  /// locally through AdmitBatch).
+  void MaybeRebalance(ServerView* view, SchedulerScratch* s)
+      SCHEMBLE_EXCLUDES(mu_);
 
   /// Projected total service time of `queued` backlogged tasks on `model`:
   /// the plain per-task sum when batching is off (exactly the pre-batching
@@ -341,10 +328,11 @@ class SchedulerDomain {
   /// Captures the buffered queries (arrival order) with their generations
   /// into the plan workspace, reusing its capacity.
   void SnapshotBufferLocked(PlanWorkspace* ws) const SCHEMBLE_REQUIRES(mu_);
-  /// Marks `subset` assigned and removes the query from the buffer.
-  /// Tasks are enqueued by the caller outside the lock.
+  /// Assigns `subset` (QueryLifecycle::Assign) and republishes the buffer
+  /// count. Tasks are enqueued by the caller outside the lock.
   void CommitLocked(int index, SubsetMask subset) SCHEMBLE_REQUIRES(mu_);
-  /// Claims finalization; returns false if already finalized here.
+  /// Claims finalization (QueryLifecycle::Finalize); returns false if
+  /// already finalized here.
   bool ClaimFinalizeLocked(int index) SCHEMBLE_REQUIRES(mu_);
   /// Dispatches a batch of committed assignments onto this domain's
   /// executors (projected-least-loaded placement, bulk PushAll). Blocks
@@ -357,16 +345,14 @@ class SchedulerDomain {
   /// query. Called by the failing worker, which exits afterwards.
   void FailStopExecutor(int executor_id, std::vector<Task>* backlog)
       SCHEMBLE_EXCLUDES(mu_);
-  /// Re-queues the queries of `tasks` through the domain inbox: each query
-  /// whose generation still matches is reset to the un-admitted state
-  /// (conservation CHECKed) and pushed back into the inbox for a full
-  /// re-admission through OnArrival; when the inbox is full or closed the
-  /// query is re-buffered directly under mu_ instead, so it is never
-  /// lost. Stale tasks (query re-queued by a sibling failure, finalized,
-  /// or re-assigned since dispatch) are dropped and counted.
+  /// Re-queues the queries of `tasks`: each query whose generation still
+  /// matches is released to kPending and re-admitted through AdmitBatch,
+  /// so the policy decides afresh against post-failure capacity. Stale
+  /// tasks (query re-queued by a sibling failure, finalized, or
+  /// re-assigned since dispatch) are dropped and counted.
   void RequeueTasks(const std::vector<Task>& tasks) SCHEMBLE_EXCLUDES(mu_);
   void PublishBufferedLocked() SCHEMBLE_REQUIRES(mu_) {
-    buffered_count_.store(static_cast<int64_t>(buffer_.size()),
+    buffered_count_.store(static_cast<int64_t>(lifecycle_.buffer().size()),
                           // relaxed-ok: advisory load hint; readers tolerate staleness by design
                           std::memory_order_relaxed);
   }
@@ -396,7 +382,7 @@ class SchedulerDomain {
   std::atomic<int64_t> inbox_depth_{0};
   std::atomic<int64_t> buffered_count_{0};
 
-  /// Guards policy calls, states_, buffer_, deadline_heap_. Stats
+  /// Guards policy calls, lifecycle_, deadline_heap_. Stats
   /// collection is on: bench_runtime reports per-domain critical-section
   /// pressure. Owner tracking keeps "completion work runs off-lock" a
   /// DCHECKed invariant. Rank kDomain: the first runtime lock on every
@@ -405,11 +391,13 @@ class SchedulerDomain {
   /// it; the rank guards the future cancellation paths).
   Mutex mu_ SCHEMBLE_ACQUIRED_AFTER(lock_ranks::server_anchor){
       LockRank::kDomain, "scheduler_domain.mu", Mutex::StatsMode::kEnabled};
-  std::vector<QueryState> states_ SCHEMBLE_GUARDED_BY(mu_);
-  /// Buffered query indices in arrival order (this domain's shard).
-  std::vector<int> buffer_ SCHEMBLE_GUARDED_BY(mu_);
+  /// Per-query states and this domain's shard of the buffer. Generations
+  /// are recorded per query by off-lock planning snapshots and stamped on
+  /// dispatched tasks; a mismatch later means the query moved on, so the
+  /// plan entry or task is dropped.
+  QueryLifecycle lifecycle_ SCHEMBLE_GUARDED_BY(mu_);
   /// Min-heap of (deadline, index) over queries admitted here (rejection
-  /// mode only). Entries go stale when a query is finalized or donated;
+  /// mode only). Entries go stale when a query is finalized or released;
   /// the deadline thread drops them on pop.
   std::priority_queue<std::pair<SimTime, int>,
                       std::vector<std::pair<SimTime, int>>,

@@ -70,10 +70,9 @@ ServingMetrics EnsembleServer::Run(const QueryTrace& trace) {
   SCHEMBLE_CHECK(!ran_) << "EnsembleServer::Run is one-shot";
   ran_ = true;
   trace_ = &trace;
-  states_.assign(trace.items.size(), QueryState{});
+  lifecycle_.Reset(trace.items.size());
   metrics_ = ServingMetrics{};
   metrics_.latency_ms.Reserve(trace.items.size());
-  buffer_.clear();
   plan_ws_.state = policy_->CreatePlanState();
 
   const SimTime processing_delay = policy_->ArrivalProcessingDelay();
@@ -89,17 +88,19 @@ ServingMetrics EnsembleServer::Run(const QueryTrace& trace) {
   sim_.Run();
 
   // Force mode: the buffer must have drained through completion events.
-  SCHEMBLE_CHECK(buffer_.empty());
-  for (size_t i = 0; i < states_.size(); ++i) {
-    SCHEMBLE_CHECK(states_[i].finalized) << "query " << i << " unfinalized";
+  SCHEMBLE_CHECK(lifecycle_.buffer().empty());
+  for (size_t i = 0; i < trace.items.size(); ++i) {
+    SCHEMBLE_CHECK(lifecycle_.phase(static_cast<int>(i)) ==
+                   QueryPhase::kFinalized)
+        << "query " << i << " unfinalized";
   }
   return metrics_;
 }
 
 void EnsembleServer::HandleArrival(int index) {
   const TracedQuery& tq = trace_->items[index];
-  QueryState& state = states_[index];
-  if (state.finalized) return;  // deadline expired during predictor delay
+  // Deadline expired during predictor delay.
+  if (lifecycle_.phase(index) == QueryPhase::kFinalized) return;
   const ServerView view = BuildView();
   const ArrivalDecision decision = policy_->OnArrival(tq, view);
   switch (decision.action) {
@@ -111,22 +112,14 @@ void EnsembleServer::HandleArrival(int index) {
       Finalize(index, 0, sim_.now());
       break;
     case ArrivalDecision::Action::kBuffer:
-      state.buffered = true;
-      buffer_.push_back(index);
+      lifecycle_.Buffer(index);
       break;
   }
-  if (!buffer_.empty() && AnyExecutorIdle()) DrainBuffer();
+  if (!lifecycle_.buffer().empty() && AnyExecutorIdle()) DrainBuffer();
 }
 
 void EnsembleServer::Commit(int index, SubsetMask subset, SimTime overhead) {
-  QueryState& state = states_[index];
-  SCHEMBLE_CHECK_EQ(state.assigned, 0u);
-  SCHEMBLE_CHECK_NE(subset, 0u);
-  state.assigned = subset;
-  if (state.buffered) {
-    state.buffered = false;
-    buffer_.erase(std::find(buffer_.begin(), buffer_.end(), index));
-  }
+  lifecycle_.Assign(index, subset);
   if (overhead > 0) {
     sim_.ScheduleAfter(overhead,
                        [this, index, subset] { EnqueueTasks(index, subset); });
@@ -136,7 +129,8 @@ void EnsembleServer::Commit(int index, SubsetMask subset, SimTime overhead) {
 }
 
 void EnsembleServer::EnqueueTasks(int index, SubsetMask subset) {
-  if (states_[index].finalized) return;  // deadline passed while waiting
+  // Deadline passed while waiting.
+  if (lifecycle_.phase(index) == QueryPhase::kFinalized) return;
   for (int k = 0; k < task_->num_models(); ++k) {
     if (!(subset & (SubsetMask{1} << k))) continue;
     // Least-loaded executor of model k.
@@ -175,32 +169,21 @@ void EnsembleServer::TryStart(int executor_id) {
 void EnsembleServer::HandleCompletion(int executor_id, int index) {
   Executor& ex = executors_[executor_id];
   ex.busy = false;
-  QueryState& state = states_[index];
-  if (!state.finalized) {
-    state.done |= SubsetMask{1} << ex.model;
-    state.last_done_time = sim_.now();
-    if (state.done == state.assigned) {
-      Finalize(index, state.done, sim_.now());
-    }
+  if (lifecycle_.phase(index) != QueryPhase::kFinalized &&
+      lifecycle_.TaskDone(index, ex.model, sim_.now())) {
+    Finalize(index, lifecycle_.state(index).done(), sim_.now());
   }
   TryStart(executor_id);
-  if (!buffer_.empty() && AnyExecutorIdle()) DrainBuffer();
+  if (!lifecycle_.buffer().empty() && AnyExecutorIdle()) DrainBuffer();
 }
 
 void EnsembleServer::HandleDeadline(int index) {
-  QueryState& state = states_[index];
-  if (state.finalized) return;
-  if (state.done != 0) {
-    // Partial results are served with whatever completed by the deadline.
-    Finalize(index, state.done, state.last_done_time);
-    return;
-  }
-  // No output by the deadline: miss. Drop from the buffer if still there.
-  if (state.buffered) {
-    state.buffered = false;
-    buffer_.erase(std::find(buffer_.begin(), buffer_.end(), index));
-  }
-  Finalize(index, 0, sim_.now());
+  if (lifecycle_.phase(index) == QueryPhase::kFinalized) return;
+  // Partial results are served with whatever completed by the deadline; no
+  // output at all is a miss.
+  const auto [outputs, completion] =
+      lifecycle_.DeadlineOutcome(index, sim_.now());
+  Finalize(index, outputs, completion);
 }
 
 void EnsembleServer::DrainBuffer() {
@@ -208,7 +191,7 @@ void EnsembleServer::DrainBuffer() {
   draining_ = true;
   const ServerView view = BuildView();
   plan_ws_.buffer.clear();
-  for (int index : buffer_) {
+  for (int index : lifecycle_.buffer()) {
     plan_ws_.buffer.push_back({&trace_->items[index], index, 0});
   }
   policy_->PlanOnView(view, &plan_ws_);
@@ -224,9 +207,8 @@ void EnsembleServer::DrainBuffer() {
 void EnsembleServer::Finalize(int index, SubsetMask outputs,
                               SimTime completion) {
   const TracedQuery& tq = trace_->items[index];
-  QueryState& state = states_[index];
-  SCHEMBLE_CHECK(!state.finalized);
-  state.finalized = true;
+  const bool first = lifecycle_.Finalize(index);
+  SCHEMBLE_CHECK(first) << "query " << index << " finalized twice";
 
   const QueryOutcome outcome =
       EvaluateCompletion(*task_, options_.aggregator, tq, outputs, completion,

@@ -10,6 +10,7 @@
 #include "models/synthetic_task.h"
 #include "serving/completion.h"
 #include "serving/metrics.h"
+#include "serving/query_lifecycle.h"
 #include "simcore/simulation.h"
 #include "workload/trace.h"
 
@@ -55,14 +56,6 @@ class EnsembleServer {
     std::deque<int> queue;  // query indices awaiting this executor
   };
 
-  struct QueryState {
-    SubsetMask assigned = 0;
-    SubsetMask done = 0;
-    bool buffered = false;
-    bool finalized = false;
-    SimTime last_done_time = 0;
-  };
-
   void HandleArrival(int index);
   /// Applies `subset` for query `index`; `overhead` delays the enqueue.
   void Commit(int index, SubsetMask subset, SimTime overhead);
@@ -83,8 +76,8 @@ class EnsembleServer {
   Rng rng_;
   const QueryTrace* trace_ = nullptr;
   std::vector<Executor> executors_;
-  std::vector<QueryState> states_;
-  std::vector<int> buffer_;  // query indices in arrival order
+  /// Per-query states and the arrival-ordered buffer.
+  QueryLifecycle lifecycle_;
   /// Reused by every DrainBuffer: the buffer snapshot PlanOnView reads,
   /// the plan it writes, and the policy's planning state for the run.
   PlanWorkspace plan_ws_;

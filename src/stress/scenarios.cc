@@ -170,8 +170,8 @@ void StragglersDiurnal(ScenarioContext& ctx) {
 }
 
 /// The fail-stop recovery scenario (the tentpole's conservation proof):
-/// one executor dies mid-trace, its in-flight and queued tasks are
-/// re-queued through the domain inbox, and force mode demands that every
+/// one executor dies mid-trace, the queries of its in-flight and queued
+/// tasks are re-admitted to their domain, and force mode demands that every
 /// query still completes exactly once. This is the scenario the
 /// replay-bit-identity acceptance check drives.
 void FailStopRecovery(ScenarioContext& ctx) {
@@ -385,7 +385,6 @@ void BurstyOverlay(ScenarioContext& ctx) {
   options.seed = ctx.DrawSeed("server_seed");
   options.queue_capacity = ctx.DrawInt("queue_capacity", 4, 16);
   options.steal_batch = 8;
-  options.rebalance_period = 5 * kMillisecond;
 
   OriginalPolicy policy_a;
   OriginalPolicy policy_b;
@@ -415,7 +414,6 @@ void ShardedChaos(ScenarioContext& ctx) {
   options.speedup = kSpeedup;
   options.seed = ctx.DrawSeed("server_seed");
   options.steal_batch = 8;
-  options.rebalance_period = 5 * kMillisecond;
 
   const double peak = ctx.DrawDouble("peak_rate_qps", 50.0, 90.0);
   DiurnalTraffic traffic = DiurnalTraffic::QaDayShape(
@@ -515,7 +513,6 @@ void FourDomainGauntlet(ScenarioContext& ctx) {
   // Tiny queues keep the dispatch/steal/donate paths under pressure.
   options.queue_capacity = ctx.DrawInt("queue_capacity", 8, 32);
   options.steal_batch = ctx.DrawInt("steal_batch", 4, 12);
-  options.rebalance_period = 2 * kMillisecond;
 
   // Original fans every query to every model; the rate band reproduces
   // BatchedCoalescing's proven per-executor overload (4-7 qps/executor on
@@ -619,7 +616,6 @@ void SkewedArrivalPumps(ScenarioContext& ctx) {
   // pumps exercise the blocking fallback on most cycles.
   options.inbox_capacity = ctx.DrawInt("inbox_capacity", 8, 32);
   options.steal_batch = 8;
-  options.rebalance_period = 5 * kMillisecond;
   options.num_arrival_threads = 2;
   options.arrival_pump_weights = {4, 1};
 
@@ -670,8 +666,8 @@ void RegisterBuiltinScenarios() {
                      "shape, Schemble with deadlines",
                      &StragglersDiurnal});
   registry.Register({"fail-stop-recovery",
-                     "one executor fail-stops mid-trace; its tasks re-queue "
-                     "through the domain inbox, force-mode conservation",
+                     "one executor fail-stops mid-trace; its queries are "
+                     "re-admitted to their domain, force-mode conservation",
                      &FailStopRecovery});
   registry.Register({"multi-tenant-priorities",
                      "per-tenant uniform deadlines (priority classes) on a "

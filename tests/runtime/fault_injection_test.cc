@@ -212,6 +212,34 @@ TEST_F(FaultInjectionTest, BatchedFailStopRequeuesEveryTaskExactlyOnce) {
   EXPECT_GT(sched.tasks_batched, sched.batches_executed);
 }
 
+TEST_F(FaultInjectionTest, FailStopRequeueNeverStrandsAQuery) {
+  // A one-slot inbox is nearly always full, so a fail-stop requeue that
+  // goes through the inbox finds no room. Re-buffering such a query
+  // without its arrival decision strands it under Original, which never
+  // plans buffered queries: it waits out its deadline as a miss (a hang in
+  // force mode). 600 s deadlines turn that into a miss after 6 s of real
+  // time, and ~10% of seeds hit the window, so 30 seeds catch it on nearly
+  // every run.
+  constexpr uint64_t kSeeds = 30;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    OriginalPolicy policy;
+    ConcurrentServerOptions options;
+    options.speedup = 100.0;
+    options.executor_models = {0, 0, 1, 1, 2, 2};
+    options.inbox_capacity = 1;
+    options.executor_faults.assign(options.executor_models.size(),
+                                   ExecutorFault{});
+    options.executor_faults[0].fail_at = 4 * kSecond;
+    ConcurrentServer server(*task_, &policy, options);
+    const QueryTrace trace =
+        MakeTrace(60.0, 5 * kSecond, 600 * kSecond, seed);
+    const ServingMetrics metrics = server.Run(trace);
+    EXPECT_EQ(metrics.processed, metrics.total) << "seed " << seed;
+    EXPECT_EQ(metrics.missed, 0) << "seed " << seed;
+    EXPECT_EQ(server.scheduler_stats().failstops, 1) << "seed " << seed;
+  }
+}
+
 TEST_F(FaultInjectionTest, FailStopWithoutLiveReplicaDies) {
   OriginalPolicy policy;
   ConcurrentServerOptions options = ForceOptions();

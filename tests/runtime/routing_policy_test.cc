@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
-#include "simcore/clock.h"
 
 namespace schemble {
 namespace {
@@ -26,38 +24,6 @@ std::vector<DomainLoad> UniformDomains(int n, int executors = 2) {
     domains[static_cast<size_t>(d)].executors = executors;
   }
   return domains;
-}
-
-TEST(HashRoutingTest, StableForFixedIdAndDomainCount) {
-  HashRouting policy;
-  const auto domains = UniformDomains(4);
-  // The same id must land on the same domain no matter when it is routed
-  // or what the loads look like — the decision is a pure function of
-  // (id, n).
-  for (int64_t id : {0, 1, 7, 12345, 999999}) {
-    const int first = policy.Route(MakeQuery(id), 0, domains);
-    auto loaded = domains;
-    loaded[0].inbox = 100;
-    loaded[3].queued_tasks = 50;
-    EXPECT_EQ(policy.Route(MakeQuery(id), 123456, loaded), first)
-        << "id " << id;
-    EXPECT_GE(first, 0);
-    EXPECT_LT(first, 4);
-  }
-}
-
-TEST(HashRoutingTest, ConsecutiveIdsSpreadAcrossDomains) {
-  HashRouting policy;
-  const auto domains = UniformDomains(4);
-  // A burst of consecutive ids (the common trace shape) must not pile on
-  // one domain: splitmix64 decorrelates id from placement.
-  std::vector<int> counts(4, 0);
-  for (int64_t id = 0; id < 400; ++id) {
-    ++counts[static_cast<size_t>(policy.Route(MakeQuery(id), 0, domains))];
-  }
-  for (int d = 0; d < 4; ++d) {
-    EXPECT_GT(counts[static_cast<size_t>(d)], 40) << "domain " << d;
-  }
 }
 
 TEST(RoundRobinRoutingTest, CyclesThroughDomainsInOrder) {
@@ -102,46 +68,11 @@ TEST(LeastLoadedRoutingTest, TiesBreakToLowestIndex) {
   EXPECT_EQ(policy.Route(MakeQuery(42), 0, domains), 0);
 }
 
-TEST(DeadlineClassRoutingTest, BucketsBySlackAgainstManualClock) {
-  DeadlineClassRouting policy({100 * kMillisecond, 500 * kMillisecond});
-  const auto domains = UniformDomains(3);
-  ManualClock clock(10 * kSecond);
-  const SimTime now = clock.Now();
-  // slack < 100ms -> class 0, < 500ms -> class 1, else class 2.
-  EXPECT_EQ(policy.Route(MakeQuery(1, now, now + 50 * kMillisecond), now,
-                         domains),
-            0);
-  EXPECT_EQ(policy.Route(MakeQuery(2, now, now + 300 * kMillisecond), now,
-                         domains),
-            1);
-  EXPECT_EQ(policy.Route(MakeQuery(3, now, now + 5 * kSecond), now, domains),
-            2);
-  // Advancing the clock erodes slack and demotes the same deadline to a
-  // tighter class.
-  clock.Advance(4900 * kMillisecond);
-  EXPECT_EQ(policy.Route(MakeQuery(4, now, now + 5 * kSecond), clock.Now(),
-                         domains),
-            1);
-}
-
-TEST(DeadlineClassRoutingTest, ClassesClampToDomainCount) {
-  DeadlineClassRouting policy(
-      {100 * kMillisecond, 500 * kMillisecond, 2 * kSecond});
-  const auto domains = UniformDomains(2);
-  // Class 3 (huge slack) clamps to the last domain when there are fewer
-  // domains than classes.
-  EXPECT_EQ(policy.Route(MakeQuery(1, 0, kSimTimeMax), 0, domains), 1);
-  EXPECT_EQ(policy.Route(MakeQuery(2, 0, 10 * kMillisecond), 0, domains), 0);
-}
-
 TEST(RoutingPolicyFactoryTest, MakesEveryKindWithMatchingName) {
-  EXPECT_EQ(MakeRoutingPolicy(RoutingPolicyKind::kHash)->name(), "hash");
   EXPECT_EQ(MakeRoutingPolicy(RoutingPolicyKind::kRoundRobin)->name(),
             "round-robin");
   EXPECT_EQ(MakeRoutingPolicy(RoutingPolicyKind::kLeastLoaded)->name(),
             "least-loaded");
-  EXPECT_EQ(MakeRoutingPolicy(RoutingPolicyKind::kDeadlineClass)->name(),
-            "deadline-class");
 }
 
 TEST(StrictlyLessLoadedTest, NormalizesByExecutorsAndScalesByFactor) {
@@ -196,8 +127,7 @@ TEST(LevellingTransferTest, NeverOvershootsAndIsTight) {
 TEST(RoutingPolicyFactoryTest, SingleDomainAlwaysRoutesToZero) {
   const auto domains = UniformDomains(1);
   for (RoutingPolicyKind kind :
-       {RoutingPolicyKind::kHash, RoutingPolicyKind::kRoundRobin,
-        RoutingPolicyKind::kLeastLoaded, RoutingPolicyKind::kDeadlineClass}) {
+       {RoutingPolicyKind::kRoundRobin, RoutingPolicyKind::kLeastLoaded}) {
     auto policy = MakeRoutingPolicy(kind);
     for (int64_t id = 0; id < 8; ++id) {
       EXPECT_EQ(policy->Route(MakeQuery(id, 0, 100 * kMillisecond), 0,

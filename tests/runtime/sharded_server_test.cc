@@ -480,7 +480,6 @@ TEST_F(ShardedSchembleTest, RebalanceDonatesBufferedBacklog) {
   options.router = &all_to_zero;
   options.speedup = 100.0;
   options.steal_batch = 8;
-  options.rebalance_period = 5 * kMillisecond;
   ConcurrentServer server(*task_, {&policy_a, &policy_b}, options);
   const QueryTrace trace =
       MakeSimpleTrace(*task_, 60.0, 10 * kSecond, 20 * kSecond, 31);
@@ -537,7 +536,6 @@ TEST_F(ShardedSchembleTest, StressFourDomainsSkewedBurstyTraffic) {
   // paths fire on every run rather than only under unlucky timing.
   options.queue_capacity = 4;
   options.steal_batch = 8;
-  options.rebalance_period = 5 * kMillisecond;
   ConcurrentServer server(
       *task_, {&policy_a, &policy_b, &policy_c, &policy_d}, options);
   EXPECT_EQ(server.num_executors(), 32);

@@ -38,14 +38,14 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
 
   domain-crossing       Inside src/runtime/, calls into another scheduler
                         domain's inbox surface (.PushRouted /
-                        .TryPushRouted / .TryPushRoutedAll / .StealRouted
-                        on an object) must carry a `// crosses(domain)`
-                        marker on the same or the preceding line. Domains
-                        may interact ONLY through these inbox entry points
-                        and published load atomics, never through a peer's
-                        mutex; the marker makes every crossing grep-able
-                        and forces new cross-domain traffic through an
-                        audited surface.
+                        .TryPushRoutedAll / .StealRouted on an object)
+                        must carry a `// crosses(domain)` marker on the
+                        same or the preceding line. Domains may interact
+                        ONLY through these inbox entry points and published
+                        load atomics, never through a peer's mutex; the
+                        marker makes every crossing grep-able and forces
+                        new cross-domain traffic through an audited
+                        surface.
 
   arrival-pump          Inside src/runtime/, the body of any ArrivalPump*
                         function may only use the domain inbox surface and
@@ -174,7 +174,7 @@ SERIALIZED_OK_RE = re.compile(r"//\s*serialized\(mu_\)")
 # Calls on an object (not declarations/definitions, which use `::` or a
 # bare name) into a scheduler domain's cross-domain inbox surface.
 DOMAIN_CROSSING_RE = re.compile(
-    r"(->|\.)\s*(PushRouted|TryPushRoutedAll|TryPushRouted|StealRouted)"
+    r"(->|\.)\s*(PushRouted|TryPushRoutedAll|StealRouted)"
     r"\s*\(")
 
 CROSSES_OK_RE = re.compile(r"//\s*crosses\(domain\)")
