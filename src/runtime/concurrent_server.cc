@@ -152,27 +152,34 @@ ConcurrentServer::SchedulerStatsSnapshot ConcurrentServer::scheduler_stats()
   return total;
 }
 
-void ConcurrentServer::FinalizeQuery(int domain, int index,
-                                     SubsetMask outputs, SimTime completion) {
-  SCHEMBLE_CHECK_EQ(
-      finalize_claims_[static_cast<size_t>(index)].exchange(
-          1, std::memory_order_acq_rel),
-      0)
-      << "query " << trace_->items[static_cast<size_t>(index)].query.id
-      << " finalized twice (cross-domain double dispatch)";
+MetricSink* ConcurrentServer::NewMetricShard() {
+  shards_.push_back(
+      std::make_unique<MetricSink>(num_segments_, task_->num_models()));
+  return shards_.back().get();
+}
+
+void ConcurrentServer::FinalizeQueries(std::span<const Finalization> batch,
+                                       MetricSink* shard) {
   // One workspace per finalizing thread (workers, deadline, scheduler):
   // the aggregation/fill/meta-classifier chain reuses it, so steady-state
   // completions perform no heap allocations.
   thread_local CompletionWorkspace completion_ws;
-  const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-  const QueryOutcome outcome =
-      EvaluateCompletion(*task_, options_.aggregator, tq, outputs, completion,
-                         options_.allow_rejection, &completion_ws);
-  sinks_[static_cast<size_t>(domain)]->Record(
-      tq, outcome, options_.segment_duration,
-      &latency_slots_[static_cast<size_t>(index)]);
+  for (const Finalization& f : batch) {
+    const size_t index = static_cast<size_t>(f.index);
+    const TracedQuery& tq = trace_->items[index];
+    SCHEMBLE_CHECK_EQ(
+        finalize_claims_[index].exchange(1, std::memory_order_acq_rel), 0)
+        << "query " << tq.query.id
+        << " finalized twice (cross-domain double dispatch)";
+    const QueryOutcome outcome = EvaluateCompletion(
+        *task_, options_.aggregator, tq, f.outputs, f.completion,
+        options_.allow_rejection, &completion_ws);
+    shard->Record(tq, outcome, options_.segment_duration,
+                  &latency_slots_[index]);
+  }
+  const int64_t added = static_cast<int64_t>(batch.size());
   const int64_t count =
-      finalized_total_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      finalized_total_.fetch_add(added, std::memory_order_acq_rel) + added;
   if (count == static_cast<int64_t>(trace_->items.size())) {
     {
       MutexLock lock(&done_mu_);
@@ -260,13 +267,7 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   for (const TracedQuery& tq : trace.items) {
     horizon = std::max(horizon, tq.arrival_time);
   }
-  const size_t num_segments =
-      static_cast<size_t>(horizon / options_.segment_duration) + 1;
-  sinks_.clear();
-  for (size_t d = 0; d < domains_.size(); ++d) {
-    sinks_.push_back(
-        std::make_unique<MetricSink>(num_segments, task_->num_models()));
-  }
+  num_segments_ = static_cast<size_t>(horizon / options_.segment_duration) + 1;
   finalize_claims_ = std::vector<std::atomic<uint8_t>>(n);
   // relaxed-ok: reset before worker threads exist; thread creation synchronizes
   finalized_total_.store(0, std::memory_order_relaxed);
@@ -320,7 +321,7 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   threads_.clear();
 
   ServingMetrics metrics;
-  for (const auto& sink : sinks_) sink->AccumulateInto(&metrics);
+  for (const auto& shard : shards_) shard->AccumulateInto(&metrics);
   // Trim the subset-size histogram to the largest populated cell, like the
   // pre-sharding recorder did.
   size_t max_size = 0;

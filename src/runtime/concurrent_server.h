@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -112,10 +113,12 @@ struct ConcurrentServerOptions {
 ///    (MpmcQueue::StealN); overloaded domains donate buffered queries to
 ///    underloaded peers on a periodic rebalance tick. Domains never
 ///    acquire each other's mutexes.
-///  - Completion work runs outside every mutex and records into per-domain
-///    lock-free MetricSinks, merged into one ServingMetrics after the run;
-///    a global exactly-once finalize claim per query turns any cross-
-///    domain double dispatch into a CHECK failure.
+///  - Workers publish completions in one domain-lock round trip per log
+///    of ended tasks, right before they would block. Completion work runs
+///    outside every mutex and records into per-thread MetricSink shards
+///    (plain counters, no shared atomics), merged into one ServingMetrics
+///    after the run; a global exactly-once finalize claim per query turns
+///    any cross-domain double dispatch into a CHECK failure.
 ///  - All blocking is condition-variable/timer based; nothing spins.
 class ConcurrentServer : private DomainHost {
  public:
@@ -173,8 +176,9 @@ class ConcurrentServer : private DomainHost {
   // DomainHost interface (domain threads call these).
   const QueryTrace& trace() const override { return *trace_; }
   Clock& clock() override { return *clock_; }
-  void FinalizeQuery(int domain, int index, SubsetMask outputs,
-                     SimTime completion) override;
+  MetricSink* NewMetricShard() override;
+  void FinalizeQueries(std::span<const Finalization> batch,
+                       MetricSink* shard) override;
   SchedulerDomain& peer(int domain) override { return *domains_[domain]; }
 
   /// One arrival pump: replays pump_indices_[pump] with its own SleepUntil
@@ -205,8 +209,9 @@ class ConcurrentServer : private DomainHost {
   std::unique_ptr<SteadyClock> clock_;
   const QueryTrace* trace_ = nullptr;
 
-  /// Run-completion tracking: FinalizeQuery counts finalizations and the
-  /// last one flips done_ under done_mu_ so Run() can wait on a CondVar.
+  /// Run-completion tracking: FinalizeQueries counts finalizations once
+  /// per batch and the last batch flips done_ under done_mu_ so Run() can
+  /// wait on a CondVar.
   /// Rank kDone: always the final lock on a finalization path, acquired
   /// with nothing else held and never held across other work.
   Mutex done_mu_ SCHEMBLE_ACQUIRED_AFTER(lock_ranks::clock_anchor){
@@ -219,8 +224,12 @@ class ConcurrentServer : private DomainHost {
   /// detector).
   std::vector<std::atomic<uint8_t>> finalize_claims_;
 
-  /// Per-domain lock-free metric sinks, merged after the run.
-  std::vector<std::unique_ptr<MetricSink>> sinks_;
+  /// One metric shard per domain thread (NewMetricShard), created on the
+  /// Run() thread before the thread that records into it starts, merged
+  /// after the run joins.
+  std::vector<std::unique_ptr<MetricSink>> shards_;
+  /// Shape of every shard, fixed in Run() before any domain starts.
+  size_t num_segments_ = 0;
   /// Structure-immutable-after-start: sized in Run() before any thread is
   /// spawned and never resized while they run. Each slot is written at
   /// most once, by whichever thread finalizes that query (slots are

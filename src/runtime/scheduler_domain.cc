@@ -150,24 +150,30 @@ void SchedulerDomain::Start() {
     lifecycle_.Reset(trace_->items.size());
     PublishBufferedLocked();
   }
-  threads_.emplace_back([this] {
+  // Every thread below may finalize queries, so each gets its own metric
+  // shard, created here before the thread exists.
+  MetricSink* shard = host_->NewMetricShard();
+  threads_.emplace_back([this, shard] {
     SetExactTimerSlack();
-    AdmitterLoop();
+    AdmitterLoop(shard);
   });
-  threads_.emplace_back([this] {
+  shard = host_->NewMetricShard();
+  threads_.emplace_back([this, shard] {
     SetExactTimerSlack();
-    SchedulerLoop();
+    SchedulerLoop(shard);
   });
   if (options_.allow_rejection) {
-    threads_.emplace_back([this] {
+    shard = host_->NewMetricShard();
+    threads_.emplace_back([this, shard] {
       SetExactTimerSlack();
-      DeadlineLoop();
+      DeadlineLoop(shard);
     });
   }
   for (int e = 0; e < num_executors(); ++e) {
-    threads_.emplace_back([this, e] {
+    shard = host_->NewMetricShard();
+    threads_.emplace_back([this, e, shard] {
       SetExactTimerSlack();
-      WorkerLoop(e);
+      WorkerLoop(e, shard);
     });
   }
 }
@@ -299,11 +305,12 @@ bool SchedulerDomain::ClaimFinalizeLocked(int index) {
 }
 
 SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
-    const std::vector<Commit>& commits, DispatchScratch* scratch) {
+    const std::vector<Commit>& commits, SchedulerScratch* s) {
   SCHEMBLE_DCHECK(!mu_.HeldByCurrentThread())
       << "EnqueueBatch blocks on executor queues and must not be called "
          "inside the policy critical section";
   if (commits.empty()) return;
+  DispatchScratch* scratch = &s->dispatch;
   // One lock round-trip for the whole batch: mirror the simulator by
   // dropping queries finalized while the commit was in flight (deadline
   // during scheduler overhead).
@@ -388,7 +395,7 @@ SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
       const std::vector<Task> remainder(
           run.begin() + static_cast<ptrdiff_t>(pushed),
           run.end());  // hot-ok: cold fail-stop path
-      RequeueTasks(remainder);
+      RequeueTasks(remainder, s->shard);
     }
   }
 }
@@ -398,13 +405,17 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
                                               SchedulerScratch* s) {
   s->to_enqueue.clear();
   s->rejects.clear();
-  bool pushed_deadlines = false;
+  bool notify_deadline = false;
   bool notify_scheduler = false;
   bool view_changed = false;
   {
     MutexLock lock(&mu_);
     if (shutdown_) return;
     BuildViewInto(view);
+    // The deadline thread sleeps until the earliest armed deadline, so it
+    // needs a wake only when this batch arms an earlier one.
+    const SimTime earliest_deadline =
+        deadline_heap_.empty() ? kSimTimeMax : deadline_heap_.top().first;
     // Batched admission: every routed query gets its decision in this one
     // critical section. In-batch assigns fold their service time into the
     // view's availability so later queries in the batch see the load the
@@ -420,7 +431,8 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
         // without consulting the policy, matching the pre-sharding
         // deadline-thread-beats-admission path.
         if (ClaimFinalizeLocked(index)) {
-          s->rejects.push_back(index);  // hot-ok: bounded by batch size
+          s->rejects.push_back(  // hot-ok: bounded by batch size
+              {index, 0, view->now});
         }
         continue;
       }
@@ -469,14 +481,14 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
           }
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
-            pushed_deadlines = true;
           }
           view_changed = true;
           break;
         }
         case ArrivalDecision::Action::kReject:
           if (ClaimFinalizeLocked(index)) {
-            s->rejects.push_back(index);  // hot-ok: bounded by batch size
+            s->rejects.push_back(  // hot-ok: bounded by batch size
+                {index, 0, view->now});
           }
           break;
         case ArrivalDecision::Action::kBuffer:
@@ -484,12 +496,13 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
           PublishBufferedLocked();
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
-            pushed_deadlines = true;
           }
           view_changed = true;
           break;
       }
     }
+    notify_deadline = !deadline_heap_.empty() &&
+                      deadline_heap_.top().first < earliest_deadline;
     // One generation bump per batch that assigned (capacity consumed) or
     // buffered (planning inputs grew) anything. A pure-reject batch leaves
     // the planner's world untouched, which is exactly what lets the
@@ -503,11 +516,9 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
       notify_scheduler = true;
     }
   }
-  EnqueueBatch(s->to_enqueue, &s->dispatch);
-  for (const int index : s->rejects) {
-    host_->FinalizeQuery(slice_.domain_id, index, 0, clock_->Now());
-  }
-  if (pushed_deadlines) deadline_cv_.NotifyAll();
+  EnqueueBatch(s->to_enqueue, s);
+  if (!s->rejects.empty()) host_->FinalizeQueries(s->rejects, s->shard);
+  if (notify_deadline) deadline_cv_.NotifyAll();
   if (notify_scheduler) scheduler_cv_.NotifyOne();
 }
 
@@ -517,6 +528,11 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
                                       ServerView* view, SchedulerScratch* s) {
   s->commits.clear();
   SimTime overhead = 0;
+  // Whether every live executor has nothing running or queued. Only then
+  // is a round that commits nothing a stuck buffer: while any executor is
+  // busy its completion triggers another round, so the policy is waiting
+  // for capacity (coalescing headroom on a busy executor counts as busy).
+  bool all_idle = false;
   bool idle_and_stuck = false;
   size_t stuck_buffered = 0;
   bool replanning = false;
@@ -539,10 +555,12 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
     }
     BuildViewInto(view);
     bool any_idle = false;
+    all_idle = !view->executors.empty();
     for (const ExecutorView& ex : view->executors) {
       if (ex.available_at <= view->now) {
         any_idle = true;
-        break;
+      } else {
+        all_idle = false;
       }
     }
     if (!any_idle && !batch_models_.empty()) {
@@ -610,14 +628,15 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
     // Snapshot for the off-lock error log below: the buffer is guarded and
     // workers may finalize (and un-buffer) queries concurrently.
     stuck_buffered = lifecycle_.buffer().size();
-    idle_and_stuck = s->commits.empty() && arrivals_done_ && stuck_buffered > 0;
+    idle_and_stuck = all_idle && s->commits.empty() && arrivals_done_ &&
+                     stuck_buffered > 0;
   }
   if (!s->commits.empty()) {
     // The simulator charges scheduling overhead by delaying the
     // dispatched tasks' start; here the scheduler thread pays it in
     // (scaled) wall-clock time before enqueueing.
     if (overhead > 0) clock_->SleepFor(overhead);
-    EnqueueBatch(s->commits, &s->dispatch);
+    EnqueueBatch(s->commits, s);
   } else if (idle_and_stuck && !replanning && !options_.allow_rejection &&
              host_->num_domains() == 1) {
     // Force mode has no deadline thread to finalize abandoned queries; a
@@ -729,7 +748,7 @@ void SchedulerDomain::MaybeRebalance(ServerView* view, SchedulerScratch* s) {
   if (sent < donations.size()) AdmitBatch(donations.subspan(sent), view, s);
 }
 
-void SchedulerDomain::AdmitterLoop() {
+void SchedulerDomain::AdmitterLoop(MetricSink* shard) {
   // The admission half of the pre-sharding server, per domain: block on
   // the inbox (the queue's own condition variable provides the wakeup),
   // run the OnArrival decisions under mu_, dispatch/finalize off-lock.
@@ -738,7 +757,7 @@ void SchedulerDomain::AdmitterLoop() {
   // buffer (and their deadline-heap entries keep getting armed) while the
   // planner thinks.
   ServerView view;
-  SchedulerScratch scratch;
+  SchedulerScratch scratch(shard);
   while (true) {
     scratch.incoming.clear();
     const size_t drained = inbox_.PopN(
@@ -750,14 +769,14 @@ void SchedulerDomain::AdmitterLoop() {
   }
 }
 
-void SchedulerDomain::SchedulerLoop() {
+void SchedulerDomain::SchedulerLoop(MetricSink* shard) {
   const bool multi = host_->num_domains() > 1;
   const std::chrono::nanoseconds tick = std::max(
       RealDuration(kRebalancePeriod, options_.speedup), kSchedulerTickFloor);
   PlanWorkspace plan_ws;
   plan_ws.state = policy_->CreatePlanState();
   ServerView view;
-  SchedulerScratch scratch;
+  SchedulerScratch scratch(shard);
   SimTime last_rebalance = 0;
   // Generation of the last snapshot actually fed to PlanOnView; the
   // sentinel guarantees the first signalled round always plans.
@@ -803,14 +822,25 @@ void SchedulerDomain::SchedulerLoop() {
   }
 }
 
-void SchedulerDomain::DeadlineLoop() {
+void SchedulerDomain::DeadlineLoop(MetricSink* shard) {
   // Deadlines are armed at admission (assign or buffer) and walked in
-  // order; stale entries — finalized queries, queries released to a peer
-  // or for re-admission — are dropped on pop. Sleeps on the domain mutex's
-  // condition variable so newly admitted earlier deadlines and shutdown
-  // both interrupt the wait.
+  // order. Sleeps on the domain mutex's condition variable until the
+  // earliest live deadline; AdmitBatch wakes it only when it arms an
+  // earlier one, and shutdown always does.
   MutexLock lock(&mu_);
   while (!shutdown_) {
+    // Drop the entries that no longer matter before choosing how long to
+    // wait, so the thread never sleeps toward a deadline only to discard
+    // it: finalized queries, and pending ones — released to a peer (its
+    // heap covers the deadline) or for re-admission here (AdmitBatch
+    // re-arms the deadline, or finalizes the query at once if overdue).
+    while (!deadline_heap_.empty()) {
+      const QueryPhase phase = lifecycle_.phase(deadline_heap_.top().second);
+      if (phase != QueryPhase::kPending && phase != QueryPhase::kFinalized) {
+        break;
+      }
+      deadline_heap_.pop();
+    }
     if (deadline_heap_.empty()) {
       deadline_cv_.Wait(mu_);
       continue;
@@ -822,15 +852,13 @@ void SchedulerDomain::DeadlineLoop() {
       continue;
     }
     deadline_heap_.pop();
-    // Pending: released to a peer (its heap covers the deadline) or for
-    // re-admission here (AdmitBatch re-arms the deadline, or finalizes the
-    // query at once if it is already overdue).
-    if (lifecycle_.phase(index) == QueryPhase::kPending) continue;
-    if (!ClaimFinalizeLocked(index)) continue;
-    const auto [outputs, completion] =
-        lifecycle_.DeadlineOutcome(index, clock_->Now());
+    // The top is buffered or assigned (stale entries were dropped above
+    // under this same lock), so the claim succeeds.
+    SCHEMBLE_CHECK(ClaimFinalizeLocked(index));
+    const auto [outputs, completion] = lifecycle_.DeadlineOutcome(index, now);
+    const Finalization finalization{index, outputs, completion};
     lock.Release();
-    host_->FinalizeQuery(slice_.domain_id, index, outputs, completion);
+    host_->FinalizeQueries({&finalization, 1}, shard);
     lock.Acquire();
   }
 }
@@ -856,7 +884,7 @@ SCHEMBLE_HOT size_t SchedulerDomain::CoalesceBatch(Executor& ex,
   return t;
 }
 
-void SchedulerDomain::WorkerLoop(int executor_id) {
+void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
   // Longest task run drained from the queue per lock round-trip. Tasks in
   // the local run still count in `queued` (each is decremented at its own
   // service start), so load estimates keep seeing them.
@@ -869,8 +897,8 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
       batching ? batch_models_[static_cast<size_t>(ex.model)]
                : BatchLatencyModel{};
   // Coalescing cap per execution. 1 (batching off) reproduces the per-task
-  // path exactly: one jitter draw, one completion lock round-trip and one
-  // profile.latency_us service interval per task.
+  // path exactly: one jitter draw and one profile.latency_us service
+  // interval per task.
   const size_t cap =
       batching ? static_cast<size_t>(batch_model.max_batch) : 1;
   Rng rng(HashSeed("worker", options_.seed + ex.global_id));
@@ -878,15 +906,14 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
   run.reserve(kRunLength);
   TaskBatch batch;  // batch-workspace: one reusable workspace per worker
   batch.tasks.reserve(std::max(cap, size_t{1}));
-  // Per-batch finalize list, drained off-lock (capacity pins at cap).
-  struct Done {
-    int index;
-    SubsetMask outputs;
-    SimTime completion;
-  };
-  std::vector<Done> finalizes;
-  finalizes.reserve(cap);
+  // Every execution takes at least one task of the run and at most `cap`,
+  // so the log never holds more than one run's worth.
+  CompletionLog log;
+  log.ended.reserve(kRunLength * cap);
+  log.finalizes.reserve(kRunLength * cap);
   while (true) {
+    // About to block on the queue: publish first.
+    PublishCompletions(ex.model, &log, shard);
     run.clear();
     if (ex.queue->PopN(&run, kRunLength) == 0) {
       return;  // closed and drained: shutdown
@@ -895,14 +922,14 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
     while (t < run.size()) {
       if (fault.fail_at > 0 && clock_->Now() >= fault.fail_at) {
         // Fail-stop: this executor dies at the first task (batch) examined
-        // past fail_at. The un-started local remainder plus everything
-        // still queued flows back through RequeueTasks so no query is
-        // lost — the worker thread then exits for good. Tasks already
-        // coalesced into earlier batches completed normally, so per-task
-        // conservation holds across the failure.
+        // past fail_at. Tasks already serviced are published first; the
+        // un-started local remainder plus everything still queued flows
+        // back through RequeueTasks so no query is lost — the worker
+        // thread then exits for good.
+        PublishCompletions(ex.model, &log, shard);
         std::vector<Task> backlog(run.begin() + static_cast<ptrdiff_t>(t),
                                   run.end());
-        FailStopExecutor(executor_id, &backlog);
+        FailStopExecutor(executor_id, &backlog, shard);
         return;
       }
       {
@@ -931,66 +958,86 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
                    : profile.latency_us;
       const SimTime service =
           static_cast<SimTime>(static_cast<double>(nominal) * factor);
-      ex.busy_until.store(start + service, std::memory_order_release);
+      const SimTime end = start + service;
+      ex.busy_until.store(end, std::memory_order_release);
       ex.busy.store(true, std::memory_order_release);
-      clock_->SleepUntil(start + service);
+      // About to sleep on the OS timer: publish the earlier executions'
+      // completions while this one is in service. A service shorter than
+      // 1 ns real never reaches the timer, so its completion just joins
+      // the log.
+      if (RealDuration(service, options_.speedup).count() > 0) {
+        PublishCompletions(ex.model, &log, shard);
+      }
+      clock_->SleepUntil(end);
       ex.busy.store(false, std::memory_order_release);
-      // relaxed-ok: monotonic telemetry counter
-      batches_executed_.fetch_add(1, std::memory_order_relaxed);
-      tasks_batched_.fetch_add(static_cast<int64_t>(n),
-                               std::memory_order_relaxed);
-
-      // Batch completion: one lock round-trip covers every coalesced task,
-      // with PR-7's per-task generation discipline intact — stale tasks
-      // (query re-queued or re-assigned since dispatch) are dropped
-      // individually, never the whole batch.
-      finalizes.clear();
-      bool notify = false;
-      {
-        MutexLock lock(&mu_);
-        for (const Task& task : batch.tasks) {
-          const int index = task.index;
-          const QueryLifecycle::QueryState& state = lifecycle_.state(index);
-          // Every finalize and release bumps the generation, so a match
-          // means the query is still assigned to this task's subset.
-          if (state.generation() == task.generation) {
-            if (lifecycle_.TaskDone(index, ex.model, clock_->Now()) &&
-                ClaimFinalizeLocked(index)) {
-              finalizes.push_back(
-                  {index, state.done(), state.last_done_time()});
-            }
-          } else if (state.phase() != QueryPhase::kFinalized) {
-            // Generation moved on while this task was in service: the
-            // query was re-queued after a sibling executor fail-stopped
-            // (or donated away and re-planned). Its new assignment owns
-            // the done mask now; folding this stale completion in would
-            // corrupt it.
-            // relaxed-ok: monotonic telemetry counter
-            stale_tasks_dropped_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        // A completed batch always frees projected capacity, so any
-        // planning skip pending on the old view is stale.
-        ++view_generation_;
-        // Scheduler wakeup folded into the completion critical section:
-        // capacity just freed up, so if anything is buffered the planner
-        // should look at it. No separate notify lock round-trip.
-        if (!lifecycle_.buffer().empty()) {
-          scheduler_signal_ = true;
-          notify = true;
-        }
+      for (const Task& task : batch.tasks) {
+        log.ended.push_back({task, end});
       }
-      for (const Done& done : finalizes) {
-        host_->FinalizeQuery(slice_.domain_id, done.index, done.outputs,
-                             done.completion);
-      }
-      if (notify) scheduler_cv_.NotifyOne();
+      ++log.executions;
     }
   }
 }
 
+void SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
+                                         MetricSink* shard) {
+  if (log->ended.empty()) return;
+  log->finalizes.clear();
+  int64_t stale = 0;
+  bool notify = false;
+  {
+    MutexLock lock(&mu_);
+    for (const CompletionLog::Ended& ended : log->ended) {
+      const int index = ended.task.index;
+      const QueryLifecycle::QueryState& state = lifecycle_.state(index);
+      // Every finalize and release bumps the generation, so a match
+      // means the query is still assigned to this task's subset.
+      if (state.generation() == ended.task.generation) {
+        // Publication order is not end-time order across executors, so
+        // the query's completion is the latest end among its tasks.
+        SimTime done_at = ended.end;
+        if (state.done() != 0) {
+          done_at = std::max(done_at, state.last_done_time());
+        }
+        if (lifecycle_.TaskDone(index, model, done_at) &&
+            ClaimFinalizeLocked(index)) {
+          log->finalizes.push_back(
+              {index, state.done(), state.last_done_time()});
+        }
+      } else if (state.phase() != QueryPhase::kFinalized) {
+        // Generation moved on while this task was in service: the query
+        // was re-queued after a sibling executor fail-stopped (or donated
+        // away and re-planned). Its new assignment owns the done mask
+        // now; folding this stale completion in would corrupt it.
+        ++stale;
+      }
+    }
+    // Completed executions always free projected capacity, so any planning
+    // skip pending on the old view is stale.
+    ++view_generation_;
+    // Scheduler wakeup folded into the completion critical section:
+    // capacity just freed up, so if anything is buffered the planner
+    // should look at it. No separate notify lock round-trip.
+    if (!lifecycle_.buffer().empty()) {
+      scheduler_signal_ = true;
+      notify = true;
+    }
+  }
+  // relaxed-ok: monotonic telemetry counters
+  batches_executed_.fetch_add(log->executions, std::memory_order_relaxed);
+  tasks_batched_.fetch_add(static_cast<int64_t>(log->ended.size()),
+                           std::memory_order_relaxed);
+  if (stale > 0) {
+    stale_tasks_dropped_.fetch_add(stale, std::memory_order_relaxed);
+  }
+  log->ended.clear();
+  log->executions = 0;
+  if (!log->finalizes.empty()) host_->FinalizeQueries(log->finalizes, shard);
+  if (notify) scheduler_cv_.NotifyOne();
+}
+
 void SchedulerDomain::FailStopExecutor(int executor_id,
-                                       std::vector<Task>* backlog) {
+                                       std::vector<Task>* backlog,
+                                       MetricSink* shard) {
   Executor& ex = executors_[static_cast<size_t>(executor_id)];
   // Publish the failure first: dispatch/planning observe it and stop
   // routing here. A dispatcher that raced past the flag hits the closed
@@ -1008,10 +1055,11 @@ void SchedulerDomain::FailStopExecutor(int executor_id,
                       std::memory_order_acq_rel);
   // relaxed-ok: monotonic telemetry counter
   failstops_.fetch_add(1, std::memory_order_relaxed);
-  RequeueTasks(*backlog);
+  RequeueTasks(*backlog, shard);
 }
 
-void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
+void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks,
+                                   MetricSink* shard) {
   if (tasks.empty()) return;
   std::vector<int> readmit;
   readmit.reserve(tasks.size());
@@ -1042,7 +1090,7 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
   // capacity. Fresh scratch and view, because an EnqueueBatch further up
   // this call stack may still be iterating its own.
   ServerView view;
-  SchedulerScratch scratch;
+  SchedulerScratch scratch(shard);
   AdmitBatch(readmit, &view, &scratch);
 }
 

@@ -15,6 +15,7 @@
 #include "models/synthetic_task.h"
 #include "runtime/mpmc_queue.h"
 #include "runtime/routing_policy.h"
+#include "serving/metric_sink.h"
 #include "serving/query_lifecycle.h"
 #include "simcore/clock.h"
 #include "workload/trace.h"
@@ -47,24 +48,37 @@ struct ExecutorFault {
   }
 };
 
+/// One query leaving the run: the outputs it is served with and the
+/// virtual time the last of them finished (0 outputs = a miss).
+struct Finalization {
+  int index = 0;
+  SubsetMask outputs = 0;
+  SimTime completion = 0;
+};
+
 /// Services a scheduler domain consumes from its owning server. The host
-/// owns everything global — the trace, the clock, the metric sinks, the
+/// owns everything global — the trace, the clock, the metric shards, the
 /// run-completion doorbell — while each domain owns one shard of the
-/// scheduling state. All methods must be safe to call from any domain
-/// thread; FinalizeQuery and peer() are called with NO domain mutex held.
+/// scheduling state. FinalizeQueries and peer() are safe to call from any
+/// domain thread and are called with NO domain mutex held.
 class DomainHost {
  public:
   virtual ~DomainHost() = default;
 
   virtual const QueryTrace& trace() const = 0;
   virtual Clock& clock() = 0;
-  /// Records the final outcome of query `index` (aggregation, accuracy,
-  /// metrics, run-completion accounting). Exactly-once per query across
-  /// ALL domains — a second call for the same index is a CHECK failure,
-  /// which is how the runtime turns a cross-domain double dispatch into a
-  /// loud test failure instead of silent metric corruption.
-  virtual void FinalizeQuery(int domain, int index, SubsetMask outputs,
-                             SimTime completion) = 0;
+  /// A metric shard for one domain thread, owned by the host and merged
+  /// after the run joins. Called only by SchedulerDomain::Start, on the
+  /// thread running the server, before it spawns the shard's thread.
+  virtual MetricSink* NewMetricShard() = 0;
+  /// Records the final outcomes of `batch` (aggregation, accuracy,
+  /// metrics into `shard`, run-completion accounting). `shard` belongs to
+  /// the calling thread. Exactly-once per query across ALL domains — a
+  /// second finalization of the same index is a CHECK failure, which is
+  /// how the runtime turns a cross-domain double dispatch into a loud test
+  /// failure instead of silent metric corruption.
+  virtual void FinalizeQueries(std::span<const Finalization> batch,
+                               MetricSink* shard) = 0;
   virtual SchedulerDomain& peer(int domain) = 0;
   virtual int num_domains() const = 0;
 };
@@ -92,7 +106,7 @@ struct DomainSlice {
 /// admission path never touches the domain mutex on the fast path (the
 /// inbox's internal queue lock is the only synchronization, and the
 /// blocking admitter is woken by the queue's own condition variable), and
-/// leave through the host's FinalizeQuery exactly once.
+/// leave through the host's FinalizeQueries exactly once.
 ///
 /// Cross-domain protocol (see DESIGN.md "Sharded runtime"): domains
 /// interact ONLY through each other's inboxes and published load atomics —
@@ -268,21 +282,51 @@ class SchedulerDomain {
     int64_t grow_events = 0;
   };
 
-  /// Reusable scratch for the admit/plan phases of the scheduler loop.
+  /// Reusable scratch for the admit/plan phases of the scheduler loop,
+  /// plus the metric shard of the thread that owns it.
   struct SchedulerScratch {
+    explicit SchedulerScratch(MetricSink* thread_shard) : shard(thread_shard) {}
+    MetricSink* shard;
     std::vector<int> incoming;
     std::vector<int> stolen;
     std::vector<Commit> to_enqueue;
-    std::vector<int> rejects;
+    std::vector<Finalization> rejects;
     std::vector<Commit> commits;
     std::vector<int> donations;
     DispatchScratch dispatch;
   };
 
-  void AdmitterLoop() SCHEMBLE_EXCLUDES(mu_);
-  void SchedulerLoop() SCHEMBLE_EXCLUDES(mu_);
-  void DeadlineLoop() SCHEMBLE_EXCLUDES(mu_);
-  void WorkerLoop(int executor_id) SCHEMBLE_EXCLUDES(mu_);
+  /// A worker's completions not yet published to the domain: tasks whose
+  /// service has ended, each with its exact virtual end time. The worker
+  /// publishes the whole log in one critical section right before it
+  /// would block (PublishCompletions), so a run of zero-length services
+  /// costs one domain-lock round trip instead of one per task. Capacity
+  /// is reserved to one run's worth up front; steady state never
+  /// allocates.
+  struct CompletionLog {
+    struct Ended {
+      Task task;
+      SimTime end = 0;
+    };
+    std::vector<Ended> ended;
+    std::vector<Finalization> finalizes;
+    /// Executions logged since the last publish (batch telemetry).
+    int64_t executions = 0;
+  };
+
+  /// Each loop runs on its own thread and records every query it
+  /// finalizes into `shard`, that thread's metric shard.
+  void AdmitterLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
+  void SchedulerLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
+  void DeadlineLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
+  void WorkerLoop(int executor_id, MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
+  /// Applies every completion a worker of `model` logged in one critical
+  /// section — per task: the generation check, the stale-task drop,
+  /// TaskDone at the task's own end time and the finalize claim — then
+  /// finalizes the finished queries off-lock into `shard` and clears the
+  /// log.
+  void PublishCompletions(int model, CompletionLog* log, MetricSink* shard)
+      SCHEMBLE_EXCLUDES(mu_);
 
   /// Admits a batch of kPending trace indices — routed, stolen, donation
   /// leftovers or fail-stop requeues; the one way into a domain. One
@@ -335,22 +379,25 @@ class SchedulerDomain {
   /// already finalized here.
   bool ClaimFinalizeLocked(int index) SCHEMBLE_REQUIRES(mu_);
   /// Dispatches a batch of committed assignments onto this domain's
-  /// executors (projected-least-loaded placement, bulk PushAll). Blocks
-  /// when queues are full, hence must not hold mu_.
-  void EnqueueBatch(const std::vector<Commit>& commits,
-                    DispatchScratch* scratch) SCHEMBLE_EXCLUDES(mu_);
+  /// executors (projected-least-loaded placement, bulk PushAll, with
+  /// s->dispatch as scratch). Blocks when queues are full, hence must not
+  /// hold mu_.
+  void EnqueueBatch(const std::vector<Commit>& commits, SchedulerScratch* s)
+      SCHEMBLE_EXCLUDES(mu_);
   /// Fail-stop recovery: marks the executor failed, closes-and-drains its
   /// queue into `backlog` (which already holds the worker's un-started run
   /// remainder, in-flight task included) and re-queues every affected
   /// query. Called by the failing worker, which exits afterwards.
-  void FailStopExecutor(int executor_id, std::vector<Task>* backlog)
-      SCHEMBLE_EXCLUDES(mu_);
+  void FailStopExecutor(int executor_id, std::vector<Task>* backlog,
+                        MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   /// Re-queues the queries of `tasks`: each query whose generation still
   /// matches is released to kPending and re-admitted through AdmitBatch,
   /// so the policy decides afresh against post-failure capacity. Stale
   /// tasks (query re-queued by a sibling failure, finalized, or
-  /// re-assigned since dispatch) are dropped and counted.
-  void RequeueTasks(const std::vector<Task>& tasks) SCHEMBLE_EXCLUDES(mu_);
+  /// re-assigned since dispatch) are dropped and counted. Queries the
+  /// re-admission finalizes are recorded into `shard`.
+  void RequeueTasks(const std::vector<Task>& tasks, MetricSink* shard)
+      SCHEMBLE_EXCLUDES(mu_);
   void PublishBufferedLocked() SCHEMBLE_REQUIRES(mu_) {
     buffered_count_.store(static_cast<int64_t>(lifecycle_.buffer().size()),
                           // relaxed-ok: advisory load hint; readers tolerate staleness by design
@@ -421,8 +468,9 @@ class SchedulerDomain {
   /// at shutdown.
   CondVar deadline_cv_;
 
-  /// Telemetry (see StatsSnapshot). Scheduler-thread writers; atomics so
-  /// tests/benches read them without the domain mutex.
+  /// Telemetry (see StatsSnapshot). Atomics so tests/benches read them
+  /// without the domain mutex; workers add their batch counters once per
+  /// published completion log, not once per execution.
   std::atomic<int64_t> plans_{0};
   std::atomic<int64_t> plan_commits_{0};
   std::atomic<int64_t> plans_invalidated_{0};

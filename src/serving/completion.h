@@ -56,8 +56,8 @@ QueryOutcome EvaluateCompletion(const SyntheticTask& task,
                                 SimTime completion, bool allow_rejection);
 
 /// Applies `outcome` to the aggregate metrics and the arrival-time segment
-/// window. Not thread-safe; the concurrent runtime keeps its own atomic
-/// counters and converts at the end of a run.
+/// window. Not thread-safe; the concurrent runtime records into one
+/// MetricSink per finalizing thread and merges them at the end of a run.
 void RecordOutcome(const QueryOutcome& outcome, const TracedQuery& tq,
                    SimTime segment_duration, ServingMetrics* metrics);
 

@@ -4,76 +4,62 @@
 
 namespace schemble {
 
-MetricSink::MetricSink(size_t num_segments, int num_models)
-    : segments_(num_segments),
-      subset_size_counts_(static_cast<size_t>(num_models) + 1) {
+MetricSink::MetricSink(size_t num_segments, int num_models) {
   SCHEMBLE_CHECK_GT(num_segments, 0u);
   SCHEMBLE_CHECK_GE(num_models, 0);
+  counts_.segments.resize(num_segments);
+  counts_.subset_size_counts.assign(static_cast<size_t>(num_models) + 1, 0);
 }
 
 void MetricSink::Record(const TracedQuery& tq, const QueryOutcome& outcome,
                         SimTime segment_duration, double* latency_slot) {
-  // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-  total_.fetch_add(1, std::memory_order_relaxed);
-  subset_size_counts_[static_cast<size_t>(outcome.subset_size)].fetch_add(
-      1, std::memory_order_relaxed);
   const size_t segment =
       static_cast<size_t>(tq.arrival_time / segment_duration);
-  SCHEMBLE_DCHECK(segment < segments_.size());
-  AtomicSegment& seg = segments_[segment];
-  // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-  seg.arrivals.fetch_add(1, std::memory_order_relaxed);
+  SCHEMBLE_DCHECK(segment < counts_.segments.size());
+  SegmentStats& seg = counts_.segments[segment];
+  ++counts_.total;
+  ++seg.arrivals;
+  ++counts_.subset_size_counts[static_cast<size_t>(outcome.subset_size)];
   if (outcome.processed) {
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    seg.processed.fetch_add(1, std::memory_order_relaxed);
-    accuracy_sum_.fetch_add(outcome.match, std::memory_order_relaxed);
-    processed_accuracy_sum_.fetch_add(outcome.match,
-                                      std::memory_order_relaxed);
-    seg.accuracy_sum.fetch_add(outcome.match, std::memory_order_relaxed);
-    seg.latency_ms_sum.fetch_add(outcome.latency_ms,
-                                 std::memory_order_relaxed);
-    seg.subset_size_sum.fetch_add(outcome.subset_size,
-                                  std::memory_order_relaxed);
+    ++counts_.processed;
+    ++seg.processed;
+    counts_.accuracy_sum += outcome.match;
+    counts_.processed_accuracy_sum += outcome.match;
+    seg.accuracy_sum += outcome.match;
+    seg.latency_ms_sum += outcome.latency_ms;
+    seg.subset_size_sum += outcome.subset_size;
     if (latency_slot != nullptr) *latency_slot = outcome.latency_ms;
   }
   if (outcome.missed) {
-    // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-    missed_.fetch_add(1, std::memory_order_relaxed);
-    seg.missed.fetch_add(1, std::memory_order_relaxed);
+    ++counts_.missed;
+    ++seg.missed;
   }
 }
 
 void MetricSink::AccumulateInto(ServingMetrics* metrics) const {
-  // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-  metrics->total += total_.load(std::memory_order_relaxed);
-  metrics->processed += processed_.load(std::memory_order_relaxed);
-  metrics->missed += missed_.load(std::memory_order_relaxed);
-  metrics->accuracy_sum += accuracy_sum_.load(std::memory_order_relaxed);
-  metrics->processed_accuracy_sum +=
-      processed_accuracy_sum_.load(std::memory_order_relaxed);
-  if (metrics->subset_size_counts.size() < subset_size_counts_.size()) {
-    metrics->subset_size_counts.resize(subset_size_counts_.size(), 0);
+  metrics->total += counts_.total;
+  metrics->processed += counts_.processed;
+  metrics->missed += counts_.missed;
+  metrics->accuracy_sum += counts_.accuracy_sum;
+  metrics->processed_accuracy_sum += counts_.processed_accuracy_sum;
+  if (metrics->subset_size_counts.size() < counts_.subset_size_counts.size()) {
+    metrics->subset_size_counts.resize(counts_.subset_size_counts.size(), 0);
   }
-  for (size_t s = 0; s < subset_size_counts_.size(); ++s) {
-    metrics->subset_size_counts[s] +=
-        // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-        subset_size_counts_[s].load(std::memory_order_relaxed);
+  for (size_t s = 0; s < counts_.subset_size_counts.size(); ++s) {
+    metrics->subset_size_counts[s] += counts_.subset_size_counts[s];
   }
-  if (metrics->segments.size() < segments_.size()) {
-    metrics->segments.resize(segments_.size());
+  if (metrics->segments.size() < counts_.segments.size()) {
+    metrics->segments.resize(counts_.segments.size());
   }
-  for (size_t s = 0; s < segments_.size(); ++s) {
+  for (size_t s = 0; s < counts_.segments.size(); ++s) {
+    const SegmentStats& mine = counts_.segments[s];
     SegmentStats& seg = metrics->segments[s];
-    // relaxed-ok: per-metric counter; aggregated after the run joins its threads
-    seg.arrivals += segments_[s].arrivals.load(std::memory_order_relaxed);
-    seg.processed += segments_[s].processed.load(std::memory_order_relaxed);
-    seg.missed += segments_[s].missed.load(std::memory_order_relaxed);
-    seg.subset_size_sum +=
-        segments_[s].subset_size_sum.load(std::memory_order_relaxed);
-    seg.accuracy_sum +=
-        segments_[s].accuracy_sum.load(std::memory_order_relaxed);
-    seg.latency_ms_sum +=
-        segments_[s].latency_ms_sum.load(std::memory_order_relaxed);
+    seg.arrivals += mine.arrivals;
+    seg.processed += mine.processed;
+    seg.missed += mine.missed;
+    seg.subset_size_sum += mine.subset_size_sum;
+    seg.accuracy_sum += mine.accuracy_sum;
+    seg.latency_ms_sum += mine.latency_ms_sum;
   }
 }
 

@@ -1,10 +1,6 @@
 #ifndef SCHEMBLE_SERVING_METRIC_SINK_H_
 #define SCHEMBLE_SERVING_METRIC_SINK_H_
 
-#include <atomic>
-#include <cstdint>
-#include <vector>
-
 #include "serving/completion.h"
 #include "serving/metrics.h"
 #include "simcore/simulation.h"
@@ -12,18 +8,17 @@
 
 namespace schemble {
 
-/// Lock-free accumulator for concurrent completion recording: the atomic
-/// counterpart of serving's RecordOutcome. The sharded runtime keeps one
-/// sink per scheduler domain so finalizing threads never contend on a
-/// shared cache line across domains, then merges the sinks into a single
-/// ServingMetrics once the run drains.
+/// Plain accumulator of scored outcomes: serving's RecordOutcome with the
+/// latency samples left to the caller and every cell sized up front, so
+/// recording never allocates. The concurrent runtime gives each thread
+/// that finalizes queries its own sink (a per-thread shard) and merges the
+/// shards into one ServingMetrics after the run joins, so recording a
+/// completion writes no cache line another thread writes.
 ///
-/// Thread-safety: Record may be called concurrently from any number of
-/// threads (all cells are atomics updated relaxed); AccumulateInto and the
-/// scalar accessors are safe once recording has quiesced (after the run
-/// joins its threads) — mid-run reads see per-counter-consistent
-/// approximations only.
-class MetricSink {
+/// Thread-safety: none. One thread records into a sink; AccumulateInto
+/// reads it after that thread has been joined. Cache-line aligned so
+/// neighbouring shards never share a line.
+class alignas(64) MetricSink {
  public:
   /// `num_segments` arrival-time windows and models 0..`num_models`
   /// subset-size cells (index = aggregated subset size, 0 = missed).
@@ -33,41 +28,17 @@ class MetricSink {
   MetricSink& operator=(const MetricSink&) = delete;
 
   /// Applies one scored outcome. `latency_slot`, when non-null and the
-  /// query was processed, receives the latency sample; slots are disjoint
-  /// per query, so the write needs no synchronization.
+  /// query was processed, receives the latency sample.
   void Record(const TracedQuery& tq, const QueryOutcome& outcome,
               SimTime segment_duration, double* latency_slot);
 
   /// Adds this sink's counters into `metrics` (segments and subset-size
-  /// cells are grown as needed; latency samples are the caller's job —
-  /// they live in the per-query slots).
+  /// cells are grown as needed; latency samples are the caller's job).
   void AccumulateInto(ServingMetrics* metrics) const;
 
-  // relaxed-ok: per-metric counter read; totals, not ordering
-  int64_t total() const { return total_.load(std::memory_order_relaxed); }
-  int64_t processed() const {
-    return processed_.load(std::memory_order_relaxed);
-  }
-  int64_t missed() const { return missed_.load(std::memory_order_relaxed); }
-
  private:
-  /// Per-segment metric cells updated lock-free from completion callbacks.
-  struct AtomicSegment {
-    std::atomic<int64_t> arrivals{0};
-    std::atomic<int64_t> processed{0};
-    std::atomic<int64_t> missed{0};
-    std::atomic<int64_t> subset_size_sum{0};
-    std::atomic<double> accuracy_sum{0.0};
-    std::atomic<double> latency_ms_sum{0.0};
-  };
-
-  std::atomic<int64_t> total_{0};
-  std::atomic<int64_t> processed_{0};
-  std::atomic<int64_t> missed_{0};
-  std::atomic<double> accuracy_sum_{0.0};
-  std::atomic<double> processed_accuracy_sum_{0.0};
-  std::vector<AtomicSegment> segments_;
-  std::vector<std::atomic<int64_t>> subset_size_counts_;
+  /// Every ServingMetrics field but latency_ms.
+  ServingMetrics counts_;
 };
 
 }  // namespace schemble

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "baselines/original_policy.h"
 #include "core/policy.h"
@@ -114,6 +115,32 @@ TEST(ServerViewBatchingTest, PlannedExecTimeGatesOnBatchComposition) {
   EXPECT_LT(view.PlannedExecTime(1), 95000);
 }
 
+/// Buffers every arrival and plans the oldest buffered query onto model 0,
+/// but only when some executor has nothing running or queued. Under
+/// batching a busy executor with coalescing headroom still earns planning
+/// rounds; committing nothing in them is waiting for capacity.
+class OneAtATimePolicy : public ServingPolicy {
+ public:
+  std::string name() const override { return "one-at-a-time"; }
+
+  ArrivalDecision OnArrival(const TracedQuery& /*query*/,
+                            const ServerView& /*view*/) override {
+    return ArrivalDecision::Buffer();
+  }
+
+  void PlanOnView(const ServerView& view, PlanWorkspace* ws) const override {
+    ws->output.assignments.clear();
+    ws->output.overhead_us = 0;
+    if (ws->buffer.empty()) return;
+    for (const ExecutorView& ex : view.executors) {
+      if (ex.available_at > view.now) continue;
+      ws->output.assignments.push_back(
+          {ws->buffer[0].traced->query.id, SubsetMask{1}, 0});
+      return;
+    }
+  }
+};
+
 class BatchingRuntimeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -200,6 +227,27 @@ TEST_F(BatchingRuntimeTest, CoalescesUnderBacklogAndConserves) {
             static_cast<int64_t>(trace.size()) * task_->num_models());
   EXPECT_GT(sched.tasks_batched, sched.batches_executed);
   EXPECT_GT(sched.mean_batch_occupancy(), 1.0);
+}
+
+TEST_F(BatchingRuntimeTest, WaitingForCapacityIsNotAStuckBuffer) {
+  // 80 qps for half a virtual second against one 15 ms executor: a backlog
+  // is still buffered when the arrivals end, and the executor is busy in
+  // nearly every round that follows. Those rounds commit nothing (the
+  // policy waits for a truly idle executor), which must not be reported
+  // as a policy leaving queries stuck beside idle executors.
+  OneAtATimePolicy policy;
+  ConcurrentServerOptions options = ForceOptions();
+  options.executor_models = {0};
+  options.batching = true;
+  options.speedup = 10.0;
+  ConcurrentServer server(*task_, &policy, options);
+  const QueryTrace trace = MakeTrace(80.0, kSecond / 2);
+  ASSERT_GT(trace.size(), 20);
+  ::testing::internal::CaptureStderr();
+  const ServingMetrics metrics = server.Run(trace);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(metrics.processed, trace.size());
+  EXPECT_EQ(log.find("policy left"), std::string::npos) << log;
 }
 
 }  // namespace

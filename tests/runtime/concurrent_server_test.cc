@@ -187,6 +187,29 @@ TEST_F(ConcurrentServerTest, SingleExecutorStaticSubset) {
   EXPECT_EQ(metrics.subset_size_counts[1], trace.size());
 }
 
+TEST_F(ConcurrentServerTest, ZeroLengthServicesPublishCompletionsPerRun) {
+  // At speedup 1e8 every service is shorter than 1 ns real, so no worker
+  // ever sleeps on the timer: a worker publishes each run of ended tasks
+  // in one domain-lock round trip instead of taking the lock per task.
+  StaticDeployment deployment;
+  deployment.subset = 0b010;
+  deployment.replicas = {0, 8, 0};
+  StaticPolicy policy(deployment);
+  ConcurrentServerOptions options;
+  options.executor_models.assign(8, 1);
+  options.allow_rejection = false;
+  options.speedup = 1e8;
+  ConcurrentServer server(*task_, &policy, options);
+  const QueryTrace trace = MakeTrace(1000.0, 20 * kSecond, 100 * kMillisecond);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+  const double acquisitions_per_query =
+      static_cast<double>(server.lock_stats().acquisitions) /
+      static_cast<double>(metrics.total);
+  EXPECT_LT(acquisitions_per_query, 0.25);
+}
+
 TEST_F(ConcurrentServerTest, DeadlineStormRejectsEverything) {
   // Deadlines far below any model's service time: OriginalPolicy rejects
   // every arrival outright, so the whole trace resolves through the

@@ -212,6 +212,36 @@ TEST_F(FaultInjectionTest, BatchedFailStopRequeuesEveryTaskExactlyOnce) {
   EXPECT_GT(sched.tasks_batched, sched.batches_executed);
 }
 
+TEST_F(FaultInjectionTest, FailStopMidRunPublishesLoggedCompletionsOnce) {
+  // Every executor runs 100x fast, so at speedup 1e6 no service reaches
+  // 1 ns real: workers never sleep and publish whole runs of ended tasks
+  // at once. The victim dies with such a log in hand; it must publish the
+  // log before requeueing its backlog, so every query is still finalized
+  // exactly once (a second finalization CHECK-fails inside the server).
+  OriginalPolicy policy;
+  ConcurrentServerOptions options = ForceOptions();
+  options.speedup = 1e6;
+  options.executor_models = {0, 0, 1, 1, 2, 2};
+  options.executor_faults.assign(options.executor_models.size(),
+                                 ExecutorFault{});
+  for (ExecutorFault& fault : options.executor_faults) fault.speed = 100.0;
+  // Half a millisecond of real time into the run: mid-run, with thousands
+  // of tasks still queued.
+  options.executor_faults[0].fail_at = kSecond / 2;
+  ConcurrentServer server(*task_, &policy, options);
+
+  const QueryTrace trace = MakeTrace(5000.0, 2 * kSecond, 3600 * kSecond);
+  const ServingMetrics metrics = server.Run(trace);
+
+  EXPECT_EQ(metrics.total, static_cast<int64_t>(trace.size()));
+  EXPECT_EQ(metrics.processed, metrics.total);
+  const auto sched = server.scheduler_stats();
+  EXPECT_EQ(sched.failstops, 1);
+  // Runs coalesced: fewer domain-lock acquisitions than executed tasks
+  // (per-task publication would take at least one per task).
+  EXPECT_LT(server.lock_stats().acquisitions, sched.tasks_batched);
+}
+
 TEST_F(FaultInjectionTest, FailStopRequeueNeverStrandsAQuery) {
   // A one-slot inbox is nearly always full, so a fail-stop requeue that
   // goes through the inbox finds no room. Re-buffering such a query

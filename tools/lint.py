@@ -111,6 +111,13 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         hints, and subtly wrong nearly everywhere else; the
                         marker records which case the author claims.
 
+  atomic-double         Inside src/, std::atomic<double> is banned unless
+                        the line (or the preceding one) carries
+                        `// atomic-double-ok: <reason>`. Its fetch_add is a
+                        compare-exchange loop that retries under
+                        contention; accumulate into a per-thread shard and
+                        merge after the threads join (MetricSink).
+
   lock-rank             Every Mutex declared inside src/ must place itself
                         in the global rank table: the declaration (or its
                         next line) names a LockRank::k* constant, or
@@ -253,6 +260,10 @@ REQUIRES_RE = re.compile(r"SCHEMBLE_REQUIRES\s*\(([^)]*)\)")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 
 RELAXED_OK_RE = re.compile(r"//\s*relaxed-ok:")
+
+ATOMIC_DOUBLE_RE = re.compile(r"\bstd::atomic\s*<\s*(?:long\s+)?double\s*>")
+
+ATOMIC_DOUBLE_OK_RE = re.compile(r"//\s*atomic-double-ok:")
 
 # A Mutex being declared (member or local). MutexLock, Mutex:: scope uses,
 # and pointer/reference parameters deliberately do not match.
@@ -526,6 +537,16 @@ class Linter:
                 for pattern, why in FP_BANNED:
                     if pattern.search(code):
                         self.error(rel, i, "fp-determinism", why)
+                if ATOMIC_DOUBLE_RE.search(code):
+                    prev = lines[i - 2] if i >= 2 else ""
+                    if not (ATOMIC_DOUBLE_OK_RE.search(raw) or
+                            ATOMIC_DOUBLE_OK_RE.search(prev)):
+                        self.error(rel, i, "atomic-double",
+                                   "std::atomic<double> fetch_add is a CAS "
+                                   "loop that retries under contention; "
+                                   "accumulate per thread and merge after "
+                                   "join, or mark `// atomic-double-ok: "
+                                   "<reason>`")
 
         if rel.startswith("src" + os.sep) and not exempt:
             stripped = [strip_comments_and_strings(l) for l in lines]
