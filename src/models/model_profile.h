@@ -1,10 +1,12 @@
 #ifndef SCHEMBLE_MODELS_MODEL_PROFILE_H_
 #define SCHEMBLE_MODELS_MODEL_PROFILE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "simcore/simulation.h"
 
 namespace schemble {
@@ -79,6 +81,12 @@ struct ModelProfile {
 
   /// P(prediction == true label | difficulty), linear in difficulty.
   double CorrectProbability(double difficulty) const;
+
+  /// One execution's service time relative to its nominal cost:
+  /// max(0.2, 1 + latency_jitter * N(0,1)), one Normal draw from `rng`.
+  double DrawServiceFactor(Rng& rng) const {
+    return std::max(0.2, 1.0 + latency_jitter * rng.Normal());
+  }
 
   /// Batch latency curve calibrated so ServiceUs(1) == latency_us.
   BatchLatencyModel batch_latency() const;

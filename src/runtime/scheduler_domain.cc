@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "runtime/concurrent_server.h"
+#include "serving/placement.h"
 
 namespace schemble {
 namespace {
@@ -133,13 +134,6 @@ SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
   return *this;
 }
 
-SimTime SchedulerDomain::BacklogServiceTime(int model, int64_t queued) const {
-  if (batch_models_.empty()) {
-    return queued * task_->profile(model).latency_us;
-  }
-  return batch_models_[static_cast<size_t>(model)].BacklogUs(queued);
-}
-
 void SchedulerDomain::Start() {
   SCHEMBLE_CHECK(!started_) << "SchedulerDomain::Start is one-shot";
   started_ = true;
@@ -232,47 +226,21 @@ void SchedulerDomain::ArrivalsDone() {
 }
 
 SCHEMBLE_HOT void SchedulerDomain::BuildViewInto(ServerView* view) const {
-  view->now = clock_->Now();
-  view->allow_rejection = options_.allow_rejection;
-  // Capacities pin after the first call (fixed model/executor counts), so
-  // the snapshot critical section stays allocation-free in steady state.
-  view->model_exec_time.resize(  // hot-ok: capacity pinned after first call
-      static_cast<size_t>(task_->num_models()));
-  view->model_available_at.assign(  // hot-ok: capacity pinned at first call
-      static_cast<size_t>(task_->num_models()), kSimTimeMax);
-  for (int k = 0; k < task_->num_models(); ++k) {
-    view->model_exec_time[k] = task_->profile(k).latency_us;
-  }
-  if (!batch_models_.empty()) {
-    // Publish the batch composition so policies can plan with coalesced
-    // service times (ServerView::PlannedExecTime). Never populated with
-    // batching off, so those callers see pre-batching views verbatim.
-    view->model_batch = batch_models_;  // hot-ok: capacity pinned, POD copy
-    view->model_queued.assign(  // hot-ok: capacity pinned at first call
-        static_cast<size_t>(task_->num_models()), 0);
-  }
-  view->executors.clear();
+  const SimTime now = clock_->Now();
+  BeginProjection(*task_, batch_models_, now, options_.allow_rejection, view);
   for (size_t e = 0; e < executors_.size(); ++e) {
     const Executor& ex = executors_[e];
-    // Fail-stopped executors are invisible to policies: anything routed to
-    // them would never complete. Scenarios must keep at least one live
-    // replica per model per domain (dispatch CHECK-fails otherwise).
-    if (ex.failed.load(std::memory_order_acquire)) continue;
-    const SimTime busy_until =
-        ex.busy.load(std::memory_order_acquire)
-            ? ex.busy_until.load(std::memory_order_acquire)
-            : view->now;
-    const int64_t queued = ex.queued.load(std::memory_order_acquire);
-    const SimTime available = std::max(busy_until, view->now) +
-                              BacklogServiceTime(ex.model, queued);
-    view->executors.push_back(  // hot-ok: bounded by the executor count
-        {static_cast<int>(e), ex.model, available, static_cast<int>(queued)});
-    view->model_available_at[ex.model] =
-        std::min(view->model_available_at[ex.model], available);
-    if (!view->model_queued.empty()) {
-      view->model_queued[static_cast<size_t>(ex.model)] +=
-          static_cast<int>(queued);
-    }
+    // Fail-stopped executors are invisible to policies and placement:
+    // anything routed to them would never complete. Scenarios must keep at
+    // least one live replica per model per domain (PlaceTask CHECK-fails
+    // otherwise).
+    ProjectExecutor(static_cast<int>(e),
+                    {ex.model, !ex.failed.load(std::memory_order_acquire),
+                     ex.busy.load(std::memory_order_acquire)
+                         ? ex.busy_until.load(std::memory_order_acquire)
+                         : now,
+                     ex.queued.load(std::memory_order_acquire)},
+                    view);
   }
 }
 
@@ -286,10 +254,11 @@ SCHEMBLE_HOT void SchedulerDomain::SnapshotBufferLocked(
   }
 }
 
-void SchedulerDomain::CommitLocked(int index, SubsetMask subset) {
+uint64_t SchedulerDomain::CommitLocked(int index, SubsetMask subset) {
   const bool buffered = lifecycle_.phase(index) == QueryPhase::kBuffered;
   lifecycle_.Assign(index, subset);
   if (buffered) PublishBufferedLocked();
+  return lifecycle_.state(index).generation();
 }
 
 bool SchedulerDomain::ClaimFinalizeLocked(int index) {
@@ -304,106 +273,68 @@ bool SchedulerDomain::ClaimFinalizeLocked(int index) {
   return true;
 }
 
+SCHEMBLE_HOT void SchedulerDomain::PlaceTasks(int index, SubsetMask subset,
+                                              uint64_t generation,
+                                              ServerView* view,
+                                              SchedulerScratch* s) {
+  s->runs.resize(executors_.size());  // hot-ok: fixed executor count
+  for (int k = 0; k < view->num_models(); ++k) {
+    if (!(subset & (SubsetMask{1} << k))) continue;
+    const int e = PlaceTask(k, view);
+    s->runs[static_cast<size_t>(e)].push_back(  // hot-ok: runs are reused
+        Task{index, generation});
+  }
+}
+
 SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
-    const std::vector<Commit>& commits, SchedulerScratch* s) {
-  SCHEMBLE_DCHECK(!mu_.HeldByCurrentThread())
-      << "EnqueueBatch blocks on executor queues and must not be called "
-         "inside the policy critical section";
+    const std::vector<Commit>& commits, ServerView* view,
+    SchedulerScratch* s) {
   if (commits.empty()) return;
-  DispatchScratch* scratch = &s->dispatch;
-  // One lock round-trip for the whole batch: mirror the simulator by
-  // dropping queries finalized while the commit was in flight (deadline
-  // during scheduler overhead).
-  scratch->live.clear();
   {
     MutexLock lock(&mu_);
+    // The simulator enqueues after the overhead delay and drops queries
+    // finalized meanwhile (deadline during scheduler overhead); so does
+    // this section, placing the rest against the load as it is now.
+    BuildViewInto(view);
     for (const Commit& commit : commits) {
-      const QueryLifecycle::QueryState& state = lifecycle_.state(commit.index);
-      if (state.phase() == QueryPhase::kFinalized) continue;
-      scratch->live.push_back(commit);  // hot-ok: bounded by batch size
-      // Stamp the post-commit generation: completions (and fail-stop
-      // re-queues) of the dispatched tasks only apply while it matches.
-      scratch->live.back().generation = state.generation();
-    }
-  }
-  if (scratch->live.empty()) return;
-
-  // Placement works against projected availability seeded once from the
-  // executor atomics and advanced as the batch lands, so a multi-query
-  // batch spreads across this domain's replicas exactly like the seed's
-  // per-task re-reads did.
-  const SimTime now = clock_->Now();
-  scratch->runs.resize(executors_.size());  // hot-ok: fixed executor count
-  scratch->avail.resize(executors_.size());  // hot-ok: fixed executor count
-  scratch->qcount.resize(executors_.size());  // hot-ok: fixed executor count
-  for (size_t e = 0; e < executors_.size(); ++e) {
-    scratch->runs[e].clear();
-    const Executor& ex = executors_[e];
-    const SimTime busy_until =
-        ex.busy.load(std::memory_order_acquire)
-            ? ex.busy_until.load(std::memory_order_acquire)
-            : now;
-    scratch->qcount[e] = ex.queued.load(std::memory_order_acquire);
-    scratch->avail[e] = std::max(busy_until, now) +
-                        BacklogServiceTime(ex.model, scratch->qcount[e]);
-  }
-  for (const Commit& commit : scratch->live) {
-    for (int k = 0; k < task_->num_models(); ++k) {
-      if (!(commit.subset & (SubsetMask{1} << k))) continue;
-      int best = -1;
-      SimTime best_available = kSimTimeMax;
-      for (size_t e = 0; e < executors_.size(); ++e) {
-        if (executors_[e].model != k) continue;
-        if (executors_[e].failed.load(std::memory_order_acquire)) continue;
-        if (scratch->avail[e] < best_available) {
-          best_available = scratch->avail[e];
-          best = static_cast<int>(e);
-        }
+      if (lifecycle_.state(commit.index).generation() != commit.generation) {
+        continue;
       }
-      SCHEMBLE_CHECK_GE(best, 0)
-          << "no live executor for model " << k << " in domain "
-          << slice_.domain_id
-          << " (fault scenarios must keep >= 1 replica per model alive)";
-      scratch->runs[static_cast<size_t>(best)]
-          .push_back(  // hot-ok: batch-bounded
-              Task{commit.index, commit.generation});
-      // Marginal-backlog advance: with batching off the delta is exactly
-      // one per-task latency; with it on, a task joining an open batch
-      // costs only the coalesced marginal.
-      const int64_t q = scratch->qcount[static_cast<size_t>(best)];
-      scratch->avail[static_cast<size_t>(best)] +=
-          BacklogServiceTime(k, q + 1) - BacklogServiceTime(k, q);
-      scratch->qcount[static_cast<size_t>(best)] = q + 1;
+      PlaceTasks(commit.index, commit.subset, commit.generation, view, s);
     }
   }
-  for (size_t e = 0; e < executors_.size(); ++e) {
-    const std::vector<Task>& run = scratch->runs[e];
+  PushRuns(s);
+}
+
+SCHEMBLE_HOT void SchedulerDomain::PushRuns(SchedulerScratch* s) {
+  SCHEMBLE_DCHECK(!mu_.HeldByCurrentThread())
+      << "PushRuns blocks on executor queues and must not be called "
+         "inside the policy critical section";
+  for (size_t e = 0; e < s->runs.size(); ++e) {
+    std::vector<Task>& run = s->runs[e];
     if (run.empty()) continue;
-    executors_[e].queued.fetch_add(static_cast<int64_t>(run.size()),
-                                   std::memory_order_acq_rel);
-    const size_t pushed = executors_[e].queue->PushAll(
-        std::span<const Task>(run.data(), run.size()));
+    Executor& ex = executors_[e];
+    ex.queued.fetch_add(static_cast<int64_t>(run.size()),
+                        std::memory_order_acq_rel);
+    const size_t pushed =
+        ex.queue->PushAll(std::span<const Task>(run.data(), run.size()));
     if (pushed < run.size()) {
       // Queue closed under us: either shutdown (all queries already
       // finalized, so the re-queue below is a no-op) or the executor
       // fail-stopped between placement and push. Re-queue the remainder —
       // conservation: every placed task either lands in a live queue or
       // flows back through RequeueTasks.
-      executors_[e].queued.fetch_sub(
-          static_cast<int64_t>(run.size() - pushed),
-          std::memory_order_acq_rel);
-      const std::vector<Task> remainder(
-          run.begin() + static_cast<ptrdiff_t>(pushed),
-          run.end());  // hot-ok: cold fail-stop path
-      RequeueTasks(remainder, s->shard);
+      ex.queued.fetch_sub(static_cast<int64_t>(run.size() - pushed),
+                          std::memory_order_acq_rel);
+      RequeueTasks(std::span<const Task>(run).subspan(pushed), s->shard);
     }
+    run.clear();
   }
 }
 
 SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
                                               ServerView* view,
                                               SchedulerScratch* s) {
-  s->to_enqueue.clear();
   s->rejects.clear();
   bool notify_deadline = false;
   bool notify_scheduler = false;
@@ -417,8 +348,8 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
     const SimTime earliest_deadline =
         deadline_heap_.empty() ? kSimTimeMax : deadline_heap_.top().first;
     // Batched admission: every routed query gets its decision in this one
-    // critical section. In-batch assigns fold their service time into the
-    // view's availability so later queries in the batch see the load the
+    // critical section, and every assigned task its executor. Placement
+    // advances the view, so later queries in the batch see the load the
     // earlier ones just added.
     for (const int index : indices) {
       const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
@@ -441,44 +372,8 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
       switch (decision.action) {
         case ArrivalDecision::Action::kAssign: {
           SCHEMBLE_CHECK_NE(decision.subset, 0u);
-          CommitLocked(index, decision.subset);
-          s->to_enqueue.push_back(  // hot-ok: bounded by batch size
-              {index, decision.subset});
-          for (int k = 0; k < view->num_models(); ++k) {
-            if (!(decision.subset & (SubsetMask{1} << k))) continue;
-            // Land the task on the projected least-loaded executor of
-            // model k (where EnqueueBatch will place it) and refresh
-            // the model's earliest availability.
-            ExecutorView* best = nullptr;
-            for (ExecutorView& ex : view->executors) {
-              if (ex.model_index != k) continue;
-              if (best == nullptr || ex.available_at < best->available_at) {
-                best = &ex;
-              }
-            }
-            // BuildViewInto drops fail-stopped executors, so an empty
-            // candidate set means the model lost its last live replica.
-            SCHEMBLE_CHECK(best != nullptr)
-                << "no live executor for model " << k << " in domain "
-                << slice_.domain_id << " (fault scenarios must keep >= 1 "
-                << "replica per model alive)";
-            // Marginal-backlog advance, matching EnqueueBatch's projection
-            // (reduces to one per-task latency with batching off).
-            best->available_at =
-                std::max(best->available_at, view->now) +
-                BacklogServiceTime(k, best->queue_length + 1) -
-                BacklogServiceTime(k, best->queue_length);
-            ++best->queue_length;
-            if (!view->model_queued.empty()) {
-              ++view->model_queued[static_cast<size_t>(k)];
-            }
-            view->model_available_at[k] = kSimTimeMax;
-            for (const ExecutorView& ex : view->executors) {
-              if (ex.model_index != k) continue;
-              view->model_available_at[k] =
-                  std::min(view->model_available_at[k], ex.available_at);
-            }
-          }
+          PlaceTasks(index, decision.subset,
+                     CommitLocked(index, decision.subset), view, s);
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
           }
@@ -516,7 +411,10 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
       notify_scheduler = true;
     }
   }
-  EnqueueBatch(s->to_enqueue, s);
+  // Pushed at once, as the simulator enqueues a zero-overhead commit. A
+  // query finalized since the critical section still gets its tasks run;
+  // their completions are dropped by the generation check.
+  PushRuns(s);
   if (!s->rejects.empty()) host_->FinalizeQueries(s->rejects, s->shard);
   if (notify_deadline) deadline_cv_.NotifyAll();
   if (notify_scheduler) scheduler_cv_.NotifyOne();
@@ -607,8 +505,8 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
         ++invalidated;
         continue;
       }
-      CommitLocked(snap.index, assignment.subset);
-      s->commits.push_back({snap.index, assignment.subset});
+      s->commits.push_back({snap.index, assignment.subset,
+                            CommitLocked(snap.index, assignment.subset)});
     }
     plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
                             // relaxed-ok: monotonic telemetry counter
@@ -636,7 +534,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
     // dispatched tasks' start; here the scheduler thread pays it in
     // (scaled) wall-clock time before enqueueing.
     if (overhead > 0) clock_->SleepFor(overhead);
-    EnqueueBatch(s->commits, s);
+    EnqueueBatch(s->commits, view, s);
   } else if (idle_and_stuck && !replanning && !options_.allow_rejection &&
              host_->num_domains() == 1) {
     // Force mode has no deadline thread to finalize abandoned queries; a
@@ -944,9 +842,7 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
 
       // One jitter draw per batched execution — per task when cap == 1,
       // the exact pre-batching RNG stream.
-      double factor =
-          std::max(0.2, 1.0 + profile.latency_jitter * rng.Normal()) /
-          fault.speed;
+      double factor = profile.DrawServiceFactor(rng) / fault.speed;
       const SimTime start = clock_->Now();
       if (fault.straggle_after > 0 && start >= fault.straggle_after) {
         // Straggler injection: every task serviced past the onset time is
@@ -1041,7 +937,7 @@ void SchedulerDomain::FailStopExecutor(int executor_id,
   Executor& ex = executors_[static_cast<size_t>(executor_id)];
   // Publish the failure first: dispatch/planning observe it and stop
   // routing here. A dispatcher that raced past the flag hits the closed
-  // queue below and re-queues its own remainder (EnqueueBatch shortfall
+  // queue below and re-queues its own remainder (PushRuns shortfall
   // path), so the two sides never double-count a task.
   ex.failed.store(true, std::memory_order_release);
   ex.busy.store(false, std::memory_order_release);
@@ -1058,7 +954,7 @@ void SchedulerDomain::FailStopExecutor(int executor_id,
   RequeueTasks(*backlog, shard);
 }
 
-void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks,
+void SchedulerDomain::RequeueTasks(std::span<const Task> tasks,
                                    MetricSink* shard) {
   if (tasks.empty()) return;
   std::vector<int> readmit;
@@ -1087,8 +983,8 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks,
                       // relaxed-ok: monotonic telemetry counter
                       std::memory_order_relaxed);
   // Full re-admission: the policy decides afresh against post-failure
-  // capacity. Fresh scratch and view, because an EnqueueBatch further up
-  // this call stack may still be iterating its own.
+  // capacity. Fresh scratch and view, because a PushRuns further up this
+  // call stack may still be iterating its own.
   ServerView view;
   SchedulerScratch scratch(shard);
   AdmitBatch(readmit, &view, &scratch);

@@ -249,25 +249,13 @@ class SchedulerDomain {
     std::atomic<int64_t> queued{0};
   };
 
-  /// One planned or admitted assignment awaiting dispatch. `generation` is
-  /// stamped inside EnqueueBatch's liveness filter (the post-commit value)
-  /// and travels on every dispatched Task.
+  /// One planned assignment awaiting the planning overhead. `generation`
+  /// is the query's post-commit value: EnqueueBatch drops the commit if it
+  /// moved on, and every dispatched Task carries it.
   struct Commit {
     int index = 0;
     SubsetMask subset = 0;
     uint64_t generation = 0;
-  };
-
-  /// Reusable scratch for EnqueueBatch: per-executor task runs plus
-  /// projected availability (and, under batching, the projected queue
-  /// depth the coalesced-backlog deltas are computed against). All vectors
-  /// reach a stable capacity after the first few batches, so steady-state
-  /// dispatch performs no heap allocation.
-  struct DispatchScratch {
-    std::vector<Commit> live;
-    std::vector<std::vector<Task>> runs;
-    std::vector<SimTime> avail;
-    std::vector<int64_t> qcount;
   };
 
   /// Reusable per-worker batch workspace: the tasks of one coalesced
@@ -283,17 +271,20 @@ class SchedulerDomain {
   };
 
   /// Reusable scratch for the admit/plan phases of the scheduler loop,
-  /// plus the metric shard of the thread that owns it.
+  /// plus the metric shard of the thread that owns it. `runs` holds one
+  /// task run per executor of the slice (sized at the first placement),
+  /// placed under mu_ and pushed off-lock; every run is empty between
+  /// dispatches. All vectors reach a stable capacity after the first few
+  /// batches, so steady-state dispatch performs no heap allocation.
   struct SchedulerScratch {
     explicit SchedulerScratch(MetricSink* thread_shard) : shard(thread_shard) {}
     MetricSink* shard;
     std::vector<int> incoming;
     std::vector<int> stolen;
-    std::vector<Commit> to_enqueue;
     std::vector<Finalization> rejects;
     std::vector<Commit> commits;
     std::vector<int> donations;
-    DispatchScratch dispatch;
+    std::vector<std::vector<Task>> runs;
   };
 
   /// A worker's completions not yet published to the domain: tasks whose
@@ -330,9 +321,10 @@ class SchedulerDomain {
 
   /// Admits a batch of kPending trace indices — routed, stolen, donation
   /// leftovers or fail-stop requeues; the one way into a domain. One
-  /// critical section runs the policy's OnArrival per query with in-batch
-  /// view compensation and arms the deadlines, then dispatch/finalize work
-  /// runs off-lock.
+  /// critical section runs the policy's OnArrival per query, places each
+  /// assigned task against the same view (so later queries in the batch
+  /// see the load earlier ones added) and arms the deadlines; the runs are
+  /// pushed and rejects finalized off-lock.
   void AdmitBatch(std::span<const int> indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
@@ -355,10 +347,6 @@ class SchedulerDomain {
   void MaybeRebalance(ServerView* view, SchedulerScratch* s)
       SCHEMBLE_EXCLUDES(mu_);
 
-  /// Projected total service time of `queued` backlogged tasks on `model`:
-  /// the plain per-task sum when batching is off (exactly the pre-batching
-  /// arithmetic), the coalesced BatchLatencyModel::BacklogUs when on.
-  SimTime BacklogServiceTime(int model, int64_t queued) const;
   /// Fills `batch` with up to `cap` tasks of `ex`'s model: the local run
   /// remainder starting at `start` first, then a non-blocking top-up from
   /// the executor queue (coalesce what already waits, never wait for
@@ -366,24 +354,32 @@ class SchedulerDomain {
   /// path exactly.
   size_t CoalesceBatch(Executor& ex, const std::vector<Task>& run,
                        size_t start, size_t cap, TaskBatch* batch);
-  /// Fills the policy's server view over this domain's executor slice,
-  /// reusing `view`'s vector capacity.
+  /// Projects this domain's executor slice into `view` (serving/
+  /// placement.h), reusing its vector capacity. Fail-stopped executors are
+  /// left out.
   void BuildViewInto(ServerView* view) const SCHEMBLE_REQUIRES(mu_);
   /// Captures the buffered queries (arrival order) with their generations
   /// into the plan workspace, reusing its capacity.
   void SnapshotBufferLocked(PlanWorkspace* ws) const SCHEMBLE_REQUIRES(mu_);
-  /// Assigns `subset` (QueryLifecycle::Assign) and republishes the buffer
-  /// count. Tasks are enqueued by the caller outside the lock.
-  void CommitLocked(int index, SubsetMask subset) SCHEMBLE_REQUIRES(mu_);
+  /// Assigns `subset` (QueryLifecycle::Assign), republishes the buffer
+  /// count and returns the query's post-commit generation.
+  uint64_t CommitLocked(int index, SubsetMask subset) SCHEMBLE_REQUIRES(mu_);
   /// Claims finalization (QueryLifecycle::Finalize); returns false if
   /// already finalized here.
   bool ClaimFinalizeLocked(int index) SCHEMBLE_REQUIRES(mu_);
-  /// Dispatches a batch of committed assignments onto this domain's
-  /// executors (projected-least-loaded placement, bulk PushAll, with
-  /// s->dispatch as scratch). Blocks when queues are full, hence must not
-  /// hold mu_.
-  void EnqueueBatch(const std::vector<Commit>& commits, SchedulerScratch* s)
-      SCHEMBLE_EXCLUDES(mu_);
+  /// Places one task per model of `subset` (PlaceTask against `view`) into
+  /// s->runs, each stamped with the query's post-commit `generation`.
+  void PlaceTasks(int index, SubsetMask subset, uint64_t generation,
+                  ServerView* view, SchedulerScratch* s);
+  /// Dispatches planned commits after the planning overhead: one critical
+  /// section drops the commits whose query moved on and places the rest
+  /// against a fresh view, then PushRuns.
+  void EnqueueBatch(const std::vector<Commit>& commits, ServerView* view,
+                    SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
+  /// Pushes s->runs onto the executor queues (one PushAll per run) and
+  /// re-queues any shortfall left by a fail-stop. Blocks when queues are
+  /// full, hence must not hold mu_.
+  void PushRuns(SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// Fail-stop recovery: marks the executor failed, closes-and-drains its
   /// queue into `backlog` (which already holds the worker's un-started run
   /// remainder, in-flight task included) and re-queues every affected
@@ -396,7 +392,7 @@ class SchedulerDomain {
   /// tasks (query re-queued by a sibling failure, finalized, or
   /// re-assigned since dispatch) are dropped and counted. Queries the
   /// re-admission finalizes are recorded into `shard`.
-  void RequeueTasks(const std::vector<Task>& tasks, MetricSink* shard)
+  void RequeueTasks(std::span<const Task> tasks, MetricSink* shard)
       SCHEMBLE_EXCLUDES(mu_);
   void PublishBufferedLocked() SCHEMBLE_REQUIRES(mu_) {
     buffered_count_.store(static_cast<int64_t>(lifecycle_.buffer().size()),

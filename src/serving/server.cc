@@ -1,9 +1,10 @@
 #include "serving/server.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "serving/completion.h"
+#include "serving/placement.h"
 
 namespace schemble {
 
@@ -30,10 +31,8 @@ EnsembleServer::EnsembleServer(const SyntheticTask& task,
 
 SimTime EnsembleServer::DrawServiceTime(int model) {
   const ModelProfile& profile = task_->profile(model);
-  const double factor =
-      std::max(0.2, 1.0 + profile.latency_jitter * rng_.Normal());
-  return static_cast<SimTime>(
-      static_cast<double>(profile.latency_us) * factor);
+  return static_cast<SimTime>(static_cast<double>(profile.latency_us) *
+                              profile.DrawServiceFactor(rng_));
 }
 
 bool EnsembleServer::AnyExecutorIdle() const {
@@ -43,27 +42,15 @@ bool EnsembleServer::AnyExecutorIdle() const {
   return false;
 }
 
-ServerView EnsembleServer::BuildView() const {
-  ServerView view;
-  view.now = sim_.now();
-  view.allow_rejection = options_.allow_rejection;
-  view.model_exec_time.resize(task_->num_models());
-  view.model_available_at.assign(task_->num_models(), kSimTimeMax);
-  for (int k = 0; k < task_->num_models(); ++k) {
-    view.model_exec_time[k] = task_->profile(k).latency_us;
-  }
+void EnsembleServer::BuildView() {
+  BeginProjection(*task_, {}, sim_.now(), options_.allow_rejection, &view_);
   for (size_t e = 0; e < executors_.size(); ++e) {
     const Executor& ex = executors_[e];
-    SimTime available = ex.busy ? ex.busy_until : sim_.now();
-    available +=
-        static_cast<SimTime>(ex.queue.size()) *
-        task_->profile(ex.model).latency_us;
-    view.executors.push_back({static_cast<int>(e), ex.model, available,
-                              static_cast<int>(ex.queue.size())});
-    view.model_available_at[ex.model] =
-        std::min(view.model_available_at[ex.model], available);
+    ProjectExecutor(static_cast<int>(e),
+                    {ex.model, /*live=*/true, ex.busy ? ex.busy_until : 0,
+                     static_cast<int64_t>(ex.queue.size())},
+                    &view_);
   }
-  return view;
 }
 
 ServingMetrics EnsembleServer::Run(const QueryTrace& trace) {
@@ -101,8 +88,8 @@ void EnsembleServer::HandleArrival(int index) {
   const TracedQuery& tq = trace_->items[index];
   // Deadline expired during predictor delay.
   if (lifecycle_.phase(index) == QueryPhase::kFinalized) return;
-  const ServerView view = BuildView();
-  const ArrivalDecision decision = policy_->OnArrival(tq, view);
+  BuildView();
+  const ArrivalDecision decision = policy_->OnArrival(tq, view_);
   switch (decision.action) {
     case ArrivalDecision::Action::kAssign:
       SCHEMBLE_CHECK_NE(decision.subset, 0u);
@@ -131,25 +118,14 @@ void EnsembleServer::Commit(int index, SubsetMask subset, SimTime overhead) {
 void EnsembleServer::EnqueueTasks(int index, SubsetMask subset) {
   // Deadline passed while waiting.
   if (lifecycle_.phase(index) == QueryPhase::kFinalized) return;
+  // Executors serve one model each, so one projection places every task
+  // of the subset exactly as a fresh projection per task would.
+  BuildView();
   for (int k = 0; k < task_->num_models(); ++k) {
     if (!(subset & (SubsetMask{1} << k))) continue;
-    // Least-loaded executor of model k.
-    int best = -1;
-    SimTime best_available = kSimTimeMax;
-    for (size_t e = 0; e < executors_.size(); ++e) {
-      const Executor& ex = executors_[e];
-      if (ex.model != k) continue;
-      SimTime available = ex.busy ? ex.busy_until : sim_.now();
-      available += static_cast<SimTime>(ex.queue.size()) *
-                   task_->profile(k).latency_us;
-      if (available < best_available) {
-        best_available = available;
-        best = static_cast<int>(e);
-      }
-    }
-    SCHEMBLE_CHECK_GE(best, 0) << "no executor deployed for model " << k;
-    executors_[best].queue.push_back(index);
-    TryStart(best);
+    const int e = PlaceTask(k, &view_);
+    executors_[e].queue.push_back(index);
+    TryStart(e);
   }
 }
 
@@ -189,12 +165,12 @@ void EnsembleServer::HandleDeadline(int index) {
 void EnsembleServer::DrainBuffer() {
   if (draining_) return;
   draining_ = true;
-  const ServerView view = BuildView();
+  BuildView();
   plan_ws_.buffer.clear();
   for (int index : lifecycle_.buffer()) {
     plan_ws_.buffer.push_back({&trace_->items[index], index, 0});
   }
-  policy_->PlanOnView(view, &plan_ws_);
+  policy_->PlanOnView(view_, &plan_ws_);
   const PolicyOutput& output = plan_ws_.output;
   for (const BufferedAssignment& assignment : output.assignments) {
     SCHEMBLE_CHECK_NE(assignment.subset, 0u);

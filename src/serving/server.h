@@ -65,7 +65,8 @@ class EnsembleServer {
   void HandleDeadline(int index);
   void DrainBuffer();
   void Finalize(int index, SubsetMask outputs, SimTime completion);
-  ServerView BuildView() const;
+  /// Projects every executor into view_ (serving/placement.h).
+  void BuildView();
   SimTime DrawServiceTime(int model);
   bool AnyExecutorIdle() const;
 
@@ -78,6 +79,9 @@ class EnsembleServer {
   std::vector<Executor> executors_;
   /// Per-query states and the arrival-ordered buffer.
   QueryLifecycle lifecycle_;
+  /// Reused by every projection: a policy call reads it before any commit
+  /// re-projects it to place the committed tasks.
+  ServerView view_;
   /// Reused by every DrainBuffer: the buffer snapshot PlanOnView reads,
   /// the plan it writes, and the policy's planning state for the run.
   PlanWorkspace plan_ws_;

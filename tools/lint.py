@@ -118,6 +118,14 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         contention; accumulate into a per-thread shard and
                         merge after the threads join (MetricSink).
 
+  backlog-pricing       Inside src/, calling BacklogUs( is an error outside
+                        src/models/model_profile.* (where it is defined)
+                        and src/serving/placement.* (the one availability
+                        projection both servers place tasks with). No
+                        marker escape: a second projection would let a
+                        policy's estimate and the placement that follows it
+                        drift apart.
+
   lock-rank             Every Mutex declared inside src/ must place itself
                         in the global rank table: the declaration (or its
                         next line) names a LockRank::k* constant, or
@@ -272,6 +280,13 @@ MUTEX_DECL_RE = re.compile(r"\bMutex\s+\w+\s*[;({=]|\bMutex\s+\w+\s+SCHEMBLE")
 RANKED_OK_RE = re.compile(r"//\s*ranked:")
 
 LOCK_RANK_USE_RE = re.compile(r"\bLockRank::k\w+")
+
+BACKLOG_CALL_RE = re.compile(r"\bBacklogUs\s*\(")
+
+# The batch latency model defines the backlog price; the placement module
+# is the one projection that applies it.
+BACKLOG_PRICING_HOMES = (os.path.join("src", "models", "model_profile."),
+                         os.path.join("src", "serving", "placement."))
 
 FP_BANNED = [
     (re.compile(r"\bstd::fmaf?\b|\b__builtin_fmaf?\b"),
@@ -547,6 +562,13 @@ class Linter:
                                    "accumulate per thread and merge after "
                                    "join, or mark `// atomic-double-ok: "
                                    "<reason>`")
+                if (BACKLOG_CALL_RE.search(code) and
+                        not rel.startswith(BACKLOG_PRICING_HOMES)):
+                    self.error(rel, i, "backlog-pricing",
+                               "BacklogUs called outside the placement "
+                               "module; project availability and place "
+                               "tasks through serving/placement.h so one "
+                               "rule prices every backlog")
 
         if rel.startswith("src" + os.sep) and not exempt:
             stripped = [strip_comments_and_strings(l) for l in lines]
