@@ -99,8 +99,10 @@ struct BufferedAssignment {
 
 struct PolicyOutput {
   std::vector<BufferedAssignment> assignments;
-  /// Simulated scheduling cost; the server delays the dispatched tasks'
-  /// start by this much (how small delta values hurt in Fig. 12/21).
+  /// Simulated scheduling cost; the simulator delays the dispatched
+  /// tasks' start by this much (how small delta values hurt in Fig.
+  /// 12/21). The ConcurrentServer ignores it: it pays the real planning
+  /// time instead.
   SimTime overhead_us = 0;
 };
 
@@ -108,8 +110,8 @@ struct PolicyOutput {
 /// mutable planning state (DP workspaces, score caches) behind this
 /// interface instead of in policy members, so PlanOnView can run
 /// concurrently with OnArrival. Each
-/// planning caller owns exactly one instance (via CreatePlanState) and
-/// never shares it between threads.
+/// planning context owns exactly one instance (via CreatePlanState) and
+/// never uses it from two threads at once.
 class PolicyPlanState {
  public:
   virtual ~PolicyPlanState() = default;
@@ -153,10 +155,14 @@ struct PlanWorkspace {
 /// planning entry point of both servers, is const, keeps all its scratch
 /// in the caller-owned PlanWorkspace, and MUST be safe to run
 /// concurrently with OnArrival calls on the same policy object (any
-/// counters it advances must be atomic). Objects a policy only reads
-/// (SyntheticTask, AccuracyProfile, Aggregator, DiscrepancyPredictor)
-/// expose const, state-free read paths that ARE safe to share across
-/// threads.
+/// counters it advances must be atomic). In the ConcurrentServer it may
+/// run on any runtime thread (the admitter, a worker, a tick thread), but
+/// never concurrently with another PlanOnView call of the same domain:
+/// the domain's planner token serializes them, and hands over under the
+/// domain mutex, so plain members written only by PlanOnView are safe.
+/// Objects a policy only reads (SyntheticTask, AccuracyProfile,
+/// Aggregator, DiscrepancyPredictor) expose const, state-free read paths
+/// that ARE safe to share across threads.
 class ServingPolicy {
  public:
   virtual ~ServingPolicy() = default;
@@ -180,7 +186,8 @@ class ServingPolicy {
   virtual bool SupportsOffLockPlanning() const { return false; }
 
   /// Creates the caller-owned scratch PlanOnView works against. Callers
-  /// create one per planning thread and reuse it across calls. Policies
+  /// create one per planning context (one per runtime domain) and reuse
+  /// it across calls. Policies
   /// that never buffer may return null.
   virtual std::unique_ptr<PolicyPlanState> CreatePlanState() const {
     return nullptr;

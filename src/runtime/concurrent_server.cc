@@ -160,7 +160,8 @@ MetricSink* ConcurrentServer::NewMetricShard() {
 
 void ConcurrentServer::FinalizeQueries(std::span<const Finalization> batch,
                                        MetricSink* shard) {
-  // One workspace per finalizing thread (workers, deadline, scheduler):
+  // One workspace per finalizing thread (admitters, workers, deadline and
+  // tick threads, the pump that runs the tail round):
   // the aggregation/fill/meta-classifier chain reuses it, so steady-state
   // completions perform no heap allocations.
   thread_local CompletionWorkspace completion_ws;

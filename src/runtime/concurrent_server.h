@@ -98,7 +98,8 @@ struct ConcurrentServerOptions {
 /// output, but real concurrency — sharded into N independent scheduler
 /// domains (see SchedulerDomain), each owning a slice of the executor/
 /// worker pool, its own policy instance, its own mutex and its own
-/// snapshot -> plan -> validate/commit scheduler thread.
+/// snapshot -> plan -> validate/commit planning round, run on whichever
+/// thread's event made it useful.
 ///
 /// Threading model (see DESIGN.md "Sharded runtime" / "Arrival pipeline"):
 ///  - num_arrival_threads arrival pumps replay disjoint round-robin
@@ -106,13 +107,17 @@ struct ConcurrentServerOptions {
 ///    own RoutingPolicy instance routed against the domains' lock-free
 ///    Load() atomics, pushing batches into bounded per-domain MPMC
 ///    inboxes — pumps never touch a domain mutex (lint-enforced).
-///  - Each domain runs the PR-5 snapshot-planning loop over its shard;
-///    query-state transitions and the stateful policy calls stay
-///    serialized under that domain's annotated mutex.
-///  - Idle domains steal routed-but-unadmitted queries from peer inboxes
-///    (MpmcQueue::StealN); overloaded domains donate buffered queries to
-///    underloaded peers on a periodic rebalance tick. Domains never
-///    acquire each other's mutexes.
+///  - Each domain plans over its shard on the thread that saw the event:
+///    the admitter after an admission batch, a worker after publishing
+///    completions, as the simulator plans inside HandleArrival and
+///    HandleCompletion. A per-domain planner token keeps one round at a
+///    time (PlanOnView stays serialized per domain); query-state
+///    transitions and OnArrival stay serialized under that domain's
+///    annotated mutex. One domain starts no planning thread.
+///  - With several domains, a per-domain tick thread steals routed-but-
+///    unadmitted queries from peer inboxes when idle (MpmcQueue::StealN)
+///    and donates buffered queries to underloaded peers when overloaded.
+///    Domains never acquire each other's mutexes.
 ///  - Workers publish completions in one domain-lock round trip per log
 ///    of ended tasks, right before they would block. Completion work runs
 ///    outside every mutex and records into per-thread MetricSink shards

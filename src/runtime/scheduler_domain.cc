@@ -13,14 +13,12 @@
 namespace schemble {
 namespace {
 
-/// Virtual period of the multi-domain scheduler tick, and the minimum gap
-/// between rebalances on signal-driven rounds.
+/// Virtual period of the multi-domain tick (steal, plan, rebalance).
 constexpr SimTime kRebalancePeriod = 10 * kMillisecond;
 
-/// Real-time floor of the multi-domain scheduler tick. kRebalancePeriod is
-/// 1 us real at speedup 1e4 and 0.1 ns at 1e8; unfloored, every
-/// multi-domain scheduler would wake continuously just to find nothing to
-/// steal.
+/// Real-time floor of the multi-domain tick. kRebalancePeriod is 1 us real
+/// at speedup 1e4 and 0.1 ns at 1e8; unfloored, every multi-domain tick
+/// thread would wake continuously just to find nothing to steal.
 constexpr std::chrono::nanoseconds kSchedulerTickFloor =
     std::chrono::microseconds(200);
 
@@ -112,6 +110,7 @@ SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
       stale_tasks_dropped_.load(std::memory_order_relaxed);
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.tasks_batched = tasks_batched_.load(std::memory_order_relaxed);
+  s.stuck_rounds = stuck_rounds_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -131,6 +130,7 @@ SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
   stale_tasks_dropped += other.stale_tasks_dropped;
   batches_executed += other.batches_executed;
   tasks_batched += other.tasks_batched;
+  stuck_rounds += other.stuck_rounds;
   return *this;
 }
 
@@ -144,18 +144,23 @@ void SchedulerDomain::Start() {
     lifecycle_.Reset(trace_->items.size());
     PublishBufferedLocked();
   }
+  plan_ws_.state = policy_->CreatePlanState();
   // Every thread below may finalize queries, so each gets its own metric
-  // shard, created here before the thread exists.
+  // shard, created here before the thread exists; so does the tail round,
+  // which runs on the thread that calls ArrivalsDone.
+  tail_shard_ = host_->NewMetricShard();
   MetricSink* shard = host_->NewMetricShard();
   threads_.emplace_back([this, shard] {
     SetExactTimerSlack();
     AdmitterLoop(shard);
   });
-  shard = host_->NewMetricShard();
-  threads_.emplace_back([this, shard] {
-    SetExactTimerSlack();
-    SchedulerLoop(shard);
-  });
+  if (host_->num_domains() > 1) {
+    shard = host_->NewMetricShard();
+    threads_.emplace_back([this, shard] {
+      SetExactTimerSlack();
+      TickLoop(shard);
+    });
+  }
   if (options_.allow_rejection) {
     shard = host_->NewMetricShard();
     threads_.emplace_back([this, shard] {
@@ -178,7 +183,7 @@ void SchedulerDomain::Shutdown() {
     MutexLock lock(&mu_);
     shutdown_ = true;
   }
-  scheduler_cv_.NotifyAll();
+  tick_cv_.NotifyAll();
   deadline_cv_.NotifyAll();
   inbox_.Close();
   for (Executor& ex : executors_) ex.queue->Close();
@@ -218,11 +223,37 @@ void SchedulerDomain::ArrivalsDone() {
   {
     MutexLock lock(&mu_);
     arrivals_done_ = true;
-    scheduler_signal_ = true;
+    if (!TakePlannerLocked()) return;
   }
-  // Unconditional wake: the scheduler must observe arrivals_done_ even
-  // with an empty buffer so the force-mode stuck check can fire.
-  scheduler_cv_.NotifyOne();
+  PlanRounds(tail_shard_, /*allow_skip=*/false);
+}
+
+bool SchedulerDomain::TakePlannerLocked() {
+  if (planning_) {
+    replan_requested_ = true;
+    return false;
+  }
+  planning_ = true;
+  return true;
+}
+
+void SchedulerDomain::PlanRounds(MetricSink* shard, bool allow_skip) {
+  plan_scratch_.shard = shard;
+  while (true) {
+    const bool replanning = PlanAndDispatch(allow_skip);
+    // Later rounds answer events, never a tick.
+    allow_skip = true;
+    MutexLock lock(&mu_);
+    // Same critical section as the release: a thread that found the token
+    // taken has either left its request by now, and gets its round here,
+    // or will find the token free and plan itself. A request the finished
+    // round's snapshot already covered costs one skipped round.
+    if (shutdown_ || !(replanning || replan_requested_)) {
+      planning_ = false;
+      return;
+    }
+    replan_requested_ = false;
+  }
 }
 
 SCHEMBLE_HOT void SchedulerDomain::BuildViewInto(ServerView* view) const {
@@ -286,26 +317,6 @@ SCHEMBLE_HOT void SchedulerDomain::PlaceTasks(int index, SubsetMask subset,
   }
 }
 
-SCHEMBLE_HOT void SchedulerDomain::EnqueueBatch(
-    const std::vector<Commit>& commits, ServerView* view,
-    SchedulerScratch* s) {
-  if (commits.empty()) return;
-  {
-    MutexLock lock(&mu_);
-    // The simulator enqueues after the overhead delay and drops queries
-    // finalized meanwhile (deadline during scheduler overhead); so does
-    // this section, placing the rest against the load as it is now.
-    BuildViewInto(view);
-    for (const Commit& commit : commits) {
-      if (lifecycle_.state(commit.index).generation() != commit.generation) {
-        continue;
-      }
-      PlaceTasks(commit.index, commit.subset, commit.generation, view, s);
-    }
-  }
-  PushRuns(s);
-}
-
 SCHEMBLE_HOT void SchedulerDomain::PushRuns(SchedulerScratch* s) {
   SCHEMBLE_DCHECK(!mu_.HeldByCurrentThread())
       << "PushRuns blocks on executor queues and must not be called "
@@ -316,8 +327,17 @@ SCHEMBLE_HOT void SchedulerDomain::PushRuns(SchedulerScratch* s) {
     Executor& ex = executors_[e];
     ex.queued.fetch_add(static_cast<int64_t>(run.size()),
                         std::memory_order_acq_rel);
-    const size_t pushed =
-        ex.queue->PushAll(std::span<const Task>(run.data(), run.size()));
+    // A worker that plans never blocks on its own queue, since nothing
+    // else drains it: what the full queue cannot take joins the worker's
+    // local run, still counted in `queued` until its service starts.
+    const bool own =
+        ex.worker.load(std::memory_order_acquire) == std::this_thread::get_id();
+    size_t pushed = own ? ex.queue->TryPushAll(run) : ex.queue->PushAll(run);
+    if (own && pushed < run.size()) {
+      ex.run.insert(ex.run.end(),  // hot-ok: only when the own queue is full
+                    run.begin() + static_cast<ptrdiff_t>(pushed), run.end());
+      pushed = run.size();
+    }
     if (pushed < run.size()) {
       // Queue closed under us: either shutdown (all queries already
       // finalized, so the re-queue below is a no-op) or the executor
@@ -337,7 +357,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
                                               SchedulerScratch* s) {
   s->rejects.clear();
   bool notify_deadline = false;
-  bool notify_scheduler = false;
+  bool plan = false;
   bool view_changed = false;
   {
     MutexLock lock(&mu_);
@@ -403,13 +423,9 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
     // the planner's world untouched, which is exactly what lets the
     // scheduler skip the redundant replan it would otherwise be woken for.
     if (view_changed) ++view_generation_;
-    // Scheduler wakeup folded into the admission critical section (same
-    // idiom as worker completions): anything buffered deserves a planning
-    // round.
-    if (!lifecycle_.buffer().empty()) {
-      scheduler_signal_ = true;
-      notify_scheduler = true;
-    }
+    // Anything buffered deserves a planning round: this thread runs it
+    // after the off-lock work below, or leaves it to the current planner.
+    if (!lifecycle_.buffer().empty()) plan = TakePlannerLocked();
   }
   // Pushed at once, as the simulator enqueues a zero-overhead commit. A
   // query finalized since the critical section still gets its tasks run;
@@ -417,39 +433,36 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
   PushRuns(s);
   if (!s->rejects.empty()) host_->FinalizeQueries(s->rejects, s->shard);
   if (notify_deadline) deadline_cv_.NotifyAll();
-  if (notify_scheduler) scheduler_cv_.NotifyOne();
+  if (plan) PlanRounds(s->shard, /*allow_skip=*/true);
 }
 
-bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
-                                      uint64_t* last_planned_gen,
-                                      PlanWorkspace* plan_ws,
-                                      ServerView* view, SchedulerScratch* s) {
-  s->commits.clear();
-  SimTime overhead = 0;
+bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
+  PlanWorkspace* plan_ws = &plan_ws_;
+  ServerView* view = &plan_view_;
+  SchedulerScratch* s = &plan_scratch_;
   // Whether every live executor has nothing running or queued. Only then
   // is a round that commits nothing a stuck buffer: while any executor is
   // busy its completion triggers another round, so the policy is waiting
   // for capacity (coalescing headroom on a busy executor counts as busy).
   bool all_idle = false;
-  bool idle_and_stuck = false;
+  bool stuck = false;
   size_t stuck_buffered = 0;
   bool replanning = false;
   {
     MutexLock lock(&mu_);
-    if (shutdown_) return false;
-    if (lifecycle_.buffer().empty()) return true;
+    if (shutdown_ || lifecycle_.buffer().empty()) return false;
     // Replan avoidance: when nothing that feeds the planner changed since
     // the last planned snapshot (no admission assigned or buffered, no
     // batch completed, no buffered query finalized/donated/re-queued),
     // re-running PlanOnView could only reproduce the previous answer —
     // skip the whole snapshot -> plan -> commit round. Tick-driven rounds
     // (allow_skip false) and the arrivals-done drain tail always plan, so
-    // the force-mode stuck diagnostic below can still fire.
+    // the force-mode stuck check below can still fire.
     if (allow_skip && !arrivals_done_ &&
-        view_generation_ == *last_planned_gen) {
+        view_generation_ == last_planned_gen_) {
       // relaxed-ok: monotonic telemetry counter
       replans_skipped_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      return false;
     }
     BuildViewInto(view);
     bool any_idle = false;
@@ -475,7 +488,7 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
         }
       }
     }
-    if (!any_idle) return true;
+    if (!any_idle) return false;
     // Snapshot -> plan -> validate/commit. The short critical section
     // only copies state; the policy plans against the immutable
     // snapshot with the mutex RELEASED, so arrivals and completions
@@ -488,14 +501,19 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
     lock.Release();
     // relaxed-ok: monotonic telemetry counter
     plans_.fetch_add(1, std::memory_order_relaxed);
+    // The real planning time is the runtime's whole planning charge: the
+    // policy's simulated overhead_us is the simulator's, not slept here.
     policy_->PlanOnView(*view, plan_ws);
-    overhead = plan_ws->output.overhead_us;
     lock.Acquire();
     if (shutdown_) return false;
+    // Commits are placed at once, against the load as it is now; the
+    // simulator enqueues a zero-overhead commit the same way.
+    if (!plan_ws->output.assignments.empty()) BuildViewInto(view);
     // Validation: a plan entry is committable only if its query's
     // generation still matches the snapshot — otherwise the deadline
     // thread, a worker, or a donation moved the query while we planned,
     // and the entry is stale.
+    int64_t committed = 0;
     int64_t invalidated = 0;
     for (const BufferedAssignment& assignment :
          plan_ws->output.assignments) {
@@ -505,47 +523,43 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
         ++invalidated;
         continue;
       }
-      s->commits.push_back({snap.index, assignment.subset,
-                            CommitLocked(snap.index, assignment.subset)});
+      PlaceTasks(snap.index, assignment.subset,
+                 CommitLocked(snap.index, assignment.subset), view, s);
+      ++committed;
     }
-    plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
-                            // relaxed-ok: monotonic telemetry counter
-                            std::memory_order_relaxed);
+    // relaxed-ok: monotonic telemetry counter
+    plan_commits_.fetch_add(committed, std::memory_order_relaxed);
     if (invalidated > 0) {
       plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
       // Part of the plan went stale: immediately re-plan whatever is
-      // still buffered against fresh state (self-signal).
+      // still buffered against fresh state.
       if (!lifecycle_.buffer().empty()) {
         // relaxed-ok: monotonic telemetry counter
         replans_.fetch_add(1, std::memory_order_relaxed);
-        scheduler_signal_ = true;
         replanning = true;
       }
     }
-    *last_planned_gen = snapshot_gen;
-    // Snapshot for the off-lock error log below: the buffer is guarded and
-    // workers may finalize (and un-buffer) queries concurrently.
-    stuck_buffered = lifecycle_.buffer().size();
-    idle_and_stuck = all_idle && s->commits.empty() && arrivals_done_ &&
-                     stuck_buffered > 0;
-  }
-  if (!s->commits.empty()) {
-    // The simulator charges scheduling overhead by delaying the
-    // dispatched tasks' start; here the scheduler thread pays it in
-    // (scaled) wall-clock time before enqueueing.
-    if (overhead > 0) clock_->SleepFor(overhead);
-    EnqueueBatch(s->commits, view, s);
-  } else if (idle_and_stuck && !replanning && !options_.allow_rejection &&
-             host_->num_domains() == 1) {
+    last_planned_gen_ = snapshot_gen;
     // Force mode has no deadline thread to finalize abandoned queries; a
     // policy that leaves the buffer untouched forever would hang the run.
-    // Multi-domain configurations suppress the log: a stuck shard is
+    // Multi-domain configurations do not count it: a stuck shard is
     // expected to be drained by peer steals/donations instead.
+    stuck_buffered = lifecycle_.buffer().size();
+    stuck = all_idle && committed == 0 && arrivals_done_ &&
+            stuck_buffered > 0 && !replanning && !options_.allow_rejection &&
+            host_->num_domains() == 1;
+    if (stuck) {
+      // relaxed-ok: monotonic telemetry counter
+      stuck_rounds_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  PushRuns(s);
+  if (stuck) {
     SCHEMBLE_LOG(kError) << "policy left " << stuck_buffered
                          << " buffered queries with idle executors in "
                             "force mode";
   }
-  return true;
+  return replanning;
 }
 
 void SchedulerDomain::MaybeSteal(ServerView* view, SchedulerScratch* s) {
@@ -649,11 +663,9 @@ void SchedulerDomain::MaybeRebalance(ServerView* view, SchedulerScratch* s) {
 void SchedulerDomain::AdmitterLoop(MetricSink* shard) {
   // The admission half of the pre-sharding server, per domain: block on
   // the inbox (the queue's own condition variable provides the wakeup),
-  // run the OnArrival decisions under mu_, dispatch/finalize off-lock.
-  // Runs CONCURRENTLY with the scheduler thread's off-lock planning, so a
-  // long DP round never delays admission — arrivals keep flowing into the
-  // buffer (and their deadline-heap entries keep getting armed) while the
-  // planner thinks.
+  // run the OnArrival decisions under mu_, dispatch/finalize off-lock, and
+  // plan when the batch left queries buffered and no other thread is
+  // planning. A round a worker runs never delays admission.
   ServerView view;
   SchedulerScratch scratch(shard);
   while (true) {
@@ -667,56 +679,26 @@ void SchedulerDomain::AdmitterLoop(MetricSink* shard) {
   }
 }
 
-void SchedulerDomain::SchedulerLoop(MetricSink* shard) {
-  const bool multi = host_->num_domains() > 1;
+void SchedulerDomain::TickLoop(MetricSink* shard) {
   const std::chrono::nanoseconds tick = std::max(
       RealDuration(kRebalancePeriod, options_.speedup), kSchedulerTickFloor);
-  PlanWorkspace plan_ws;
-  plan_ws.state = policy_->CreatePlanState();
   ServerView view;
   SchedulerScratch scratch(shard);
-  SimTime last_rebalance = 0;
-  // Generation of the last snapshot actually fed to PlanOnView; the
-  // sentinel guarantees the first signalled round always plans.
-  uint64_t last_planned_gen = ~uint64_t{0};
   while (true) {
-    bool tick_fired = false;
+    bool plan = false;
     {
       MutexLock lock(&mu_);
-      while (!scheduler_signal_ && !shutdown_) {
-        if (multi) {
-          // Multi-domain schedulers wake on a periodic tick to scan for
-          // steal/rebalance opportunities even with no local signal.
-          if (!scheduler_cv_.WaitFor(mu_, tick)) {
-            tick_fired = true;
-            break;
-          }
-        } else {
-          scheduler_cv_.Wait(mu_);
-        }
-      }
+      if (!shutdown_) tick_cv_.WaitFor(mu_, tick);
       if (shutdown_) return;
-      scheduler_signal_ = false;
+      plan = !lifecycle_.buffer().empty() && TakePlannerLocked();
     }
-
-    // Snapshot -> plan -> validate/commit over the buffered shard.
-    // Tick-driven rounds never skip: the periodic scan is also the
-    // backstop that re-plans after pure time passage (availability
-    // projections age even when no generation-bumping event fired).
-    if (!PlanAndDispatch(!tick_fired, &last_planned_gen, &plan_ws, &view,
-                         &scratch)) {
-      return;
-    }
-
-    // Multi-domain: steal when starving, donate when drowning.
-    if (multi) {
-      MaybeSteal(&view, &scratch);
-      const SimTime now = clock_->Now();
-      if (tick_fired || now - last_rebalance >= kRebalancePeriod) {
-        last_rebalance = now;
-        MaybeRebalance(&view, &scratch);
-      }
-    }
+    // The tick's round never skips: it is the backstop that re-plans after
+    // pure time passage (availability projections age even when no
+    // generation-bumping event fired).
+    if (plan) PlanRounds(shard, /*allow_skip=*/false);
+    // Steal when starving, donate when drowning.
+    MaybeSteal(&view, &scratch);
+    MaybeRebalance(&view, &scratch);
   }
 }
 
@@ -800,20 +782,29 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
   const size_t cap =
       batching ? static_cast<size_t>(batch_model.max_batch) : 1;
   Rng rng(HashSeed("worker", options_.seed + ex.global_id));
-  std::vector<Task> run;
+  ex.worker.store(std::this_thread::get_id(), std::memory_order_release);
+  std::vector<Task>& run = ex.run;
   run.reserve(kRunLength);
   TaskBatch batch;  // batch-workspace: one reusable workspace per worker
   batch.tasks.reserve(std::max(cap, size_t{1}));
   // Every execution takes at least one task of the run and at most `cap`,
-  // so the log never holds more than one run's worth.
+  // so the log holds one run's worth (more only after a round planned here
+  // overflowed this executor's full queue into the run).
   CompletionLog log;
   log.ended.reserve(kRunLength * cap);
   log.finalizes.reserve(kRunLength * cap);
   while (true) {
-    // About to block on the queue: publish first.
-    PublishCompletions(ex.model, &log, shard);
+    // About to block on the queue: publish first. A planning round the
+    // publication earns runs here only if the queue is empty (and may hand
+    // back tasks this executor's full queue could not take); with work
+    // waiting it runs during the next service, never ahead of it.
     run.clear();
-    if (ex.queue->PopN(&run, kRunLength) == 0) {
+    bool plan = PublishCompletions(ex.model, &log, shard);
+    if (plan && ex.queue->TryPopN(&run, kRunLength) == 0) {
+      PlanRounds(shard, /*allow_skip=*/true);
+      plan = false;
+    }
+    if (run.empty() && ex.queue->PopN(&run, kRunLength) == 0) {
       return;  // closed and drained: shutdown
     }
     size_t t = 0;
@@ -824,7 +815,9 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
         // un-started local remainder plus everything still queued flows
         // back through RequeueTasks so no query is lost — the worker
         // thread then exits for good.
-        PublishCompletions(ex.model, &log, shard);
+        if (PublishCompletions(ex.model, &log, shard) || plan) {
+          PlanRounds(shard, /*allow_skip=*/true);
+        }
         std::vector<Task> backlog(run.begin() + static_cast<ptrdiff_t>(t),
                                   run.end());
         FailStopExecutor(executor_id, &backlog, shard);
@@ -858,12 +851,14 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
       ex.busy_until.store(end, std::memory_order_release);
       ex.busy.store(true, std::memory_order_release);
       // About to sleep on the OS timer: publish the earlier executions'
-      // completions while this one is in service. A service shorter than
-      // 1 ns real never reaches the timer, so its completion just joins
-      // the log.
+      // completions and run any planning round owed while this one is in
+      // service. A service shorter than 1 ns real never reaches the timer,
+      // so its completion just joins the log.
       if (RealDuration(service, options_.speedup).count() > 0) {
-        PublishCompletions(ex.model, &log, shard);
+        plan = PublishCompletions(ex.model, &log, shard) || plan;
       }
+      if (plan) PlanRounds(shard, /*allow_skip=*/true);
+      plan = false;
       clock_->SleepUntil(end);
       ex.busy.store(false, std::memory_order_release);
       for (const Task& task : batch.tasks) {
@@ -874,12 +869,12 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
   }
 }
 
-void SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
+bool SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
                                          MetricSink* shard) {
-  if (log->ended.empty()) return;
+  if (log->ended.empty()) return false;
   log->finalizes.clear();
   int64_t stale = 0;
-  bool notify = false;
+  bool plan = false;
   {
     MutexLock lock(&mu_);
     for (const CompletionLog::Ended& ended : log->ended) {
@@ -910,13 +905,9 @@ void SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
     // Completed executions always free projected capacity, so any planning
     // skip pending on the old view is stale.
     ++view_generation_;
-    // Scheduler wakeup folded into the completion critical section:
-    // capacity just freed up, so if anything is buffered the planner
-    // should look at it. No separate notify lock round-trip.
-    if (!lifecycle_.buffer().empty()) {
-      scheduler_signal_ = true;
-      notify = true;
-    }
+    // Capacity just freed up: if anything is buffered, this worker owes a
+    // planning round, or leaves it to the current planner.
+    if (!lifecycle_.buffer().empty()) plan = TakePlannerLocked();
   }
   // relaxed-ok: monotonic telemetry counters
   batches_executed_.fetch_add(log->executions, std::memory_order_relaxed);
@@ -928,7 +919,7 @@ void SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
   log->ended.clear();
   log->executions = 0;
   if (!log->finalizes.empty()) host_->FinalizeQueries(log->finalizes, shard);
-  if (notify) scheduler_cv_.NotifyOne();
+  return plan;
 }
 
 void SchedulerDomain::FailStopExecutor(int executor_id,

@@ -69,7 +69,7 @@ class DomainHost {
   virtual Clock& clock() = 0;
   /// A metric shard for one domain thread, owned by the host and merged
   /// after the run joins. Called only by SchedulerDomain::Start, on the
-  /// thread running the server, before it spawns the shard's thread.
+  /// thread running the server, before the shard's thread records into it.
   virtual MetricSink* NewMetricShard() = 0;
   /// Records the final outcomes of `batch` (aggregation, accuracy,
   /// metrics into `shard`, run-completion accounting). `shard` belongs to
@@ -99,14 +99,19 @@ struct DomainSlice {
 
 /// One scheduling domain of the sharded concurrent runtime: a shard of the
 /// query buffer, its own policy instance and mutex, its own admitter
-/// thread draining the routed-arrival inbox into OnArrival decisions, its
-/// own scheduler thread running the snapshot -> plan -> validate/commit
-/// loop, a slice of the executor/worker pool, and (in rejection mode) its
-/// own deadline thread. Queries enter through a bounded MPMC inbox so the
-/// admission path never touches the domain mutex on the fast path (the
-/// inbox's internal queue lock is the only synchronization, and the
-/// blocking admitter is woken by the queue's own condition variable), and
-/// leave through the host's FinalizeQueries exactly once.
+/// thread draining the routed-arrival inbox into OnArrival decisions, a
+/// slice of the executor/worker pool, and (in rejection mode) its own
+/// deadline thread. There is no planning thread: like the simulator, the
+/// domain runs its snapshot -> plan -> validate/commit round on the thread
+/// whose event made it useful — the admitter after a batch, a worker after
+/// publishing completions — under a single-planner token (see DESIGN.md
+/// "Snapshot planning & batched dispatch"). With several domains a tick thread
+/// adds stealing, rebalancing and time-driven rounds. Queries enter through
+/// a bounded MPMC inbox so the admission path never touches the domain
+/// mutex on the fast path (the inbox's internal queue lock is the only
+/// synchronization, and the blocking admitter is woken by the queue's own
+/// condition variable), and leave through the host's FinalizeQueries
+/// exactly once.
 ///
 /// Cross-domain protocol (see DESIGN.md "Sharded runtime"): domains
 /// interact ONLY through each other's inboxes and published load atomics —
@@ -132,8 +137,9 @@ class SchedulerDomain {
   SchedulerDomain(const SchedulerDomain&) = delete;
   SchedulerDomain& operator=(const SchedulerDomain&) = delete;
 
-  /// Spawns the admitter, scheduler (+ deadline) threads and the workers.
-  /// The host's trace/clock must be live; one-shot.
+  /// Spawns the admitter, the deadline thread (rejection mode), the tick
+  /// thread (several domains) and the workers. The host's trace/clock must
+  /// be live; one-shot.
   void Start();
   /// Flags shutdown, closes the inbox and executor queues, wakes every
   /// blocked thread. Idempotent.
@@ -155,7 +161,10 @@ class SchedulerDomain {
   /// blocking this domain's threads (thief side of work-stealing). Appends
   /// to `out`; returns the count (0 = empty or momentarily contended).
   size_t StealRouted(std::vector<int>* out, size_t max_items);
-  /// Signals that the admission thread has routed the whole trace.
+  /// Signals that the admission thread has routed the whole trace, and
+  /// runs the tail planning round on the calling thread (rounds stop
+  /// skipping from here on, so the force-mode stuck check gets its round
+  /// even when no further event arrives). Called once per domain.
   void ArrivalsDone() SCHEMBLE_EXCLUDES(mu_);
 
   /// Published inbox occupancy (lock-free, approximate): what a thief
@@ -209,6 +218,11 @@ class SchedulerDomain {
     /// exactly 1.0 on the unbatched path.
     int64_t batches_executed = 0;
     int64_t tasks_batched = 0;
+    /// Force-mode, single-domain rounds after the last arrival that
+    /// committed nothing while the buffer was non-empty and every live
+    /// executor idle: a policy leaving queries stuck (each one is also
+    /// logged). The stress invariants require 0.
+    int64_t stuck_rounds = 0;
 
     /// Mean tasks per execution; 1.0 when nothing coalesced (or ran).
     double mean_batch_occupancy() const {
@@ -247,15 +261,14 @@ class SchedulerDomain {
     /// is closed and drained.
     std::atomic<bool> failed{false};
     std::atomic<int64_t> queued{0};
-  };
-
-  /// One planned assignment awaiting the planning overhead. `generation`
-  /// is the query's post-commit value: EnqueueBatch drops the commit if it
-  /// moved on, and every dispatched Task carries it.
-  struct Commit {
-    int index = 0;
-    SubsetMask subset = 0;
-    uint64_t generation = 0;
+    /// The worker thread serving this executor, published by the worker
+    /// itself first thing, so a thread reading its own id here IS the
+    /// worker. PushRuns uses it to never block on the caller's own queue.
+    std::atomic<std::thread::id> worker{};
+    /// The worker's local run: tasks taken from the queue and not yet
+    /// serviced, plus whatever a round planned on the worker could not
+    /// push into its own full queue. Touched only by the worker thread.
+    std::vector<Task> run;
   };
 
   /// Reusable per-worker batch workspace: the tasks of one coalesced
@@ -270,19 +283,18 @@ class SchedulerDomain {
     int64_t grow_events = 0;
   };
 
-  /// Reusable scratch for the admit/plan phases of the scheduler loop,
-  /// plus the metric shard of the thread that owns it. `runs` holds one
-  /// task run per executor of the slice (sized at the first placement),
-  /// placed under mu_ and pushed off-lock; every run is empty between
-  /// dispatches. All vectors reach a stable capacity after the first few
-  /// batches, so steady-state dispatch performs no heap allocation.
+  /// Reusable scratch for the admit/plan phases, plus the metric shard of
+  /// the thread using it. `runs` holds one task run per executor of the
+  /// slice (sized at the first placement), placed under mu_ and pushed
+  /// off-lock; every run is empty between dispatches. All vectors reach a
+  /// stable capacity after the first few batches, so steady-state dispatch
+  /// performs no heap allocation.
   struct SchedulerScratch {
     explicit SchedulerScratch(MetricSink* thread_shard) : shard(thread_shard) {}
     MetricSink* shard;
     std::vector<int> incoming;
     std::vector<int> stolen;
     std::vector<Finalization> rejects;
-    std::vector<Commit> commits;
     std::vector<int> donations;
     std::vector<std::vector<Task>> runs;
   };
@@ -306,17 +318,21 @@ class SchedulerDomain {
   };
 
   /// Each loop runs on its own thread and records every query it
-  /// finalizes into `shard`, that thread's metric shard.
+  /// finalizes into `shard`, that thread's metric shard. TickLoop runs
+  /// only with several domains: steal, plan without skipping, rebalance,
+  /// once per tick.
   void AdmitterLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
-  void SchedulerLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
+  void TickLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   void DeadlineLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   void WorkerLoop(int executor_id, MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   /// Applies every completion a worker of `model` logged in one critical
   /// section — per task: the generation check, the stale-task drop,
   /// TaskDone at the task's own end time and the finalize claim — then
   /// finalizes the finished queries off-lock into `shard` and clears the
-  /// log.
-  void PublishCompletions(int model, CompletionLog* log, MetricSink* shard)
+  /// log. Returns whether the worker took the planner token (queries are
+  /// buffered): it runs PlanRounds before it next blocks, overlapping its
+  /// own next service when it has one.
+  bool PublishCompletions(int model, CompletionLog* log, MetricSink* shard)
       SCHEMBLE_EXCLUDES(mu_);
 
   /// Admits a batch of kPending trace indices — routed, stolen, donation
@@ -328,13 +344,23 @@ class SchedulerDomain {
   void AdmitBatch(std::span<const int> indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
-  /// shard. Returns false on shutdown. When `allow_skip` is set and the
-  /// view generation equals `*last_planned_gen`, the round is elided
-  /// entirely (counted in replans_skipped); the snapshot's generation is
-  /// written back to `*last_planned_gen` after every planned round.
-  bool PlanAndDispatch(bool allow_skip, uint64_t* last_planned_gen,
-                       PlanWorkspace* plan_ws, ServerView* view,
-                       SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
+  /// shard, through the planning context; the caller holds the planner
+  /// token. When `allow_skip` is set and the view generation equals the
+  /// last planned snapshot's, the round is elided entirely (counted in
+  /// replans_skipped). Commits are placed in the validating critical
+  /// section and pushed before returning. Returns whether commit-time
+  /// validation dropped entries while queries stay buffered (the round
+  /// asks for its own re-plan).
+  bool PlanAndDispatch(bool allow_skip) SCHEMBLE_EXCLUDES(mu_);
+  /// Under mu_: takes the planner token, or, when another thread holds
+  /// it, leaves that holder a replan request. Returns whether the caller
+  /// now holds the token (and must call PlanRounds).
+  bool TakePlannerLocked() SCHEMBLE_REQUIRES(mu_);
+  /// With the planner token held: runs rounds on the calling thread,
+  /// recording finalizations into its `shard`, until no round is
+  /// requested, then releases the token. Requests are re-checked under mu_
+  /// in the section that releases it, so no round is lost.
+  void PlanRounds(MetricSink* shard, bool allow_skip) SCHEMBLE_EXCLUDES(mu_);
   /// Thief side of work-stealing: when this domain has nothing buffered,
   /// nothing routed and an idle executor, pull a batch out of the deepest
   /// peer inbox and admit it here.
@@ -371,14 +397,10 @@ class SchedulerDomain {
   /// s->runs, each stamped with the query's post-commit `generation`.
   void PlaceTasks(int index, SubsetMask subset, uint64_t generation,
                   ServerView* view, SchedulerScratch* s);
-  /// Dispatches planned commits after the planning overhead: one critical
-  /// section drops the commits whose query moved on and places the rest
-  /// against a fresh view, then PushRuns.
-  void EnqueueBatch(const std::vector<Commit>& commits, ServerView* view,
-                    SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// Pushes s->runs onto the executor queues (one PushAll per run) and
-  /// re-queues any shortfall left by a fail-stop. Blocks when queues are
-  /// full, hence must not hold mu_.
+  /// re-queues any shortfall left by a fail-stop. Blocks when another
+  /// executor's queue is full, hence must not hold mu_; never blocks on
+  /// the calling worker's own queue, which only that worker drains.
   void PushRuns(SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// Fail-stop recovery: marks the executor failed, closes-and-drains its
   /// queue into `backlog` (which already holds the worker's un-started run
@@ -447,19 +469,35 @@ class SchedulerDomain {
                       std::greater<std::pair<SimTime, int>>>
       deadline_heap_ SCHEMBLE_GUARDED_BY(mu_);
   bool arrivals_done_ SCHEMBLE_GUARDED_BY(mu_) = false;
-  bool scheduler_signal_ SCHEMBLE_GUARDED_BY(mu_) = false;
   bool shutdown_ SCHEMBLE_GUARDED_BY(mu_) = false;
+  /// The planner token: set while a thread runs PlanRounds. A thread whose
+  /// event makes a round useful while it is set leaves replan_requested_
+  /// for the holder instead, the way the simulator's draining_ guard keeps
+  /// DrainBuffer from re-entering.
+  bool planning_ SCHEMBLE_GUARDED_BY(mu_) = false;
+  bool replan_requested_ SCHEMBLE_GUARDED_BY(mu_) = false;
   /// Bumped whenever the planning inputs change: a batch admits or buffers
   /// queries, a worker batch completes (capacity freed), a buffered query
-  /// is finalized, donated, or re-queued. The scheduler compares it to the
+  /// is finalized, donated, or re-queued. The planner compares it to the
   /// generation of its last planned snapshot and skips the whole
   /// snapshot -> PlanOnView -> commit round when unchanged.
   uint64_t view_generation_ SCHEMBLE_GUARDED_BY(mu_) = 0;
 
-  /// Scheduler wakeup. The signal is FOLDED into critical sections other
-  /// threads already hold (worker completions, admitter batches): they set
-  /// scheduler_signal_ and notify after unlocking.
-  CondVar scheduler_cv_;
+  /// The domain's one planning context. Only the holder of the planner
+  /// token (planning_) touches these, and the token changes hands under
+  /// mu_, so PlanOnView stays serialized per domain whichever thread
+  /// plans. The scratch's shard is the holder's own, set per PlanRounds;
+  /// last_planned_gen_ is the generation of the last snapshot fed to
+  /// PlanOnView (the sentinel guarantees the first round plans).
+  PlanWorkspace plan_ws_;
+  ServerView plan_view_;
+  SchedulerScratch plan_scratch_{nullptr};
+  uint64_t last_planned_gen_ = ~uint64_t{0};
+  /// The metric shard of the tail round ArrivalsDone runs on its caller.
+  MetricSink* tail_shard_ = nullptr;
+
+  /// Wakes the tick thread at shutdown (several domains only).
+  CondVar tick_cv_;
   /// Wakes the deadline thread for newly admitted (earlier) deadlines and
   /// at shutdown.
   CondVar deadline_cv_;
@@ -481,6 +519,7 @@ class SchedulerDomain {
   std::atomic<int64_t> stale_tasks_dropped_{0};
   std::atomic<int64_t> batches_executed_{0};
   std::atomic<int64_t> tasks_batched_{0};
+  std::atomic<int64_t> stuck_rounds_{0};
 
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_requested_{false};

@@ -87,6 +87,9 @@ void CheckSchedulerCounters(
   ctx.ExpectGe(sched.steals, 0, "steals");
   ctx.ExpectGe(sched.stolen, sched.steals, "stolen vs steal rounds");
   ctx.ExpectGe(sched.donated, sched.rebalances, "donated vs rebalances");
+  // Progress: no round after the last arrival may leave queries buffered
+  // beside idle executors (force mode, one domain; see StatsSnapshot).
+  ctx.ExpectEq(sched.stuck_rounds, 0, "stuck_rounds");
   ctx.Note("counters: failstops=" + std::to_string(sched.failstops) +
            " requeues=" + std::to_string(sched.requeues) +
            " stale_tasks_dropped=" +
@@ -97,7 +100,8 @@ void CheckSchedulerCounters(
            " donated=" + std::to_string(sched.donated) +
            " plans=" + std::to_string(sched.plans) +
            " plan_commits=" + std::to_string(sched.plan_commits) +
-           " plans_invalidated=" + std::to_string(sched.plans_invalidated));
+           " plans_invalidated=" + std::to_string(sched.plans_invalidated) +
+           " stuck_rounds=" + std::to_string(sched.stuck_rounds));
 }
 
 }  // namespace schemble

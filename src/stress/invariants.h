@@ -44,7 +44,9 @@ void CheckServingInvariants(ScenarioContext& ctx,
 /// Sanity over the scheduler's fault telemetry: counters are non-negative
 /// and mutually consistent (requeues without failstops can only come from
 /// the dispatch-shortfall path, stale drops require a generation to have
-/// moved). Appends the counter values as notes for the run report.
+/// moved), and progress holds: no planning round left queries stuck
+/// beside idle executors (stuck_rounds == 0). Appends the counter values
+/// as notes for the run report.
 void CheckSchedulerCounters(
     ScenarioContext& ctx,
     const ConcurrentServer::SchedulerStatsSnapshot& sched);

@@ -248,6 +248,7 @@ TEST_F(BatchingRuntimeTest, WaitingForCapacityIsNotAStuckBuffer) {
   const std::string log = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(metrics.processed, trace.size());
   EXPECT_EQ(log.find("policy left"), std::string::npos) << log;
+  EXPECT_EQ(server.scheduler_stats().stuck_rounds, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <thread>
 
 #include "baselines/original_policy.h"
@@ -310,7 +311,7 @@ class CountingPlanPolicy : public ServingPolicy {
     }
   }
 
-  // PlanOnView runs on a scheduler thread concurrently with OnArrival.
+  // PlanOnView may run concurrently with OnArrival.
   mutable std::atomic<int64_t> plan_calls{0};
   std::atomic<int64_t> on_idle_calls{0};
 };
@@ -338,6 +339,82 @@ TEST_F(ConcurrentServerTest, BothServersPlanOnlyThroughPlanOnView) {
   EXPECT_EQ(metrics.processed, trace.size());
   EXPECT_GE(threaded.plan_calls.load(), 1);
   EXPECT_EQ(threaded.on_idle_calls.load(), 0);
+}
+
+/// Buffers every query, plans the whole snapshot onto the full ensemble
+/// and reports `overhead` as its simulated planning cost. Records the
+/// threads that call OnArrival and PlanOnView in plain sets: the runtime
+/// serializes OnArrival under the domain mutex and PlanOnView under the
+/// planner token, which TSan checks here.
+class ThreadRecordingPlanPolicy : public ServingPolicy {
+ public:
+  explicit ThreadRecordingPlanPolicy(SimTime overhead) : overhead_(overhead) {}
+
+  std::string name() const override { return "thread-recording-plan"; }
+
+  ArrivalDecision OnArrival(const TracedQuery& /*query*/,
+                            const ServerView& /*view*/) override {
+    arrival_threads.insert(std::this_thread::get_id());
+    return ArrivalDecision::Buffer();
+  }
+
+  void PlanOnView(const ServerView& view, PlanWorkspace* ws) const override {
+    plan_threads.insert(std::this_thread::get_id());
+    ws->output.assignments.clear();
+    ws->output.overhead_us = overhead_;
+    for (size_t i = 0; i < ws->buffer.size(); ++i) {
+      ws->output.assignments.push_back({ws->buffer[i].traced->query.id,
+                                        FullMask(view.num_models()),
+                                        static_cast<int>(i)});
+    }
+  }
+
+  std::set<std::thread::id> arrival_threads;
+  mutable std::set<std::thread::id> plan_threads;
+
+ private:
+  SimTime overhead_;
+};
+
+TEST_F(ConcurrentServerTest, PlanningOverheadIsNotSlept) {
+  // Every plan reports 10 virtual seconds of simulated overhead, which the
+  // simulator charges by delaying the dispatched tasks. The runtime already
+  // pays the real planning time; sleeping the charge as well would hold
+  // every committed query for at least 10 s.
+  ThreadRecordingPlanPolicy policy(10 * kSecond);
+  ConcurrentServerOptions options;
+  options.allow_rejection = false;
+  // 10 virtual s are 100 ms real: threads stalled for a few ms on a
+  // loaded test host stay well inside the bound.
+  options.speedup = 100.0;
+  ConcurrentServer server(*task_, &policy, options);
+  const QueryTrace trace = MakeTrace(1.0, 40 * kSecond, 10 * kSecond);
+  ASSERT_GT(trace.size(), 0);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+  EXPECT_GT(server.scheduler_stats().plan_commits, 0);
+  EXPECT_LT(metrics.latency_ms.Quantile(0.99), 10000.0);
+}
+
+TEST_F(ConcurrentServerTest, OneDomainPlansOnTheAdmittingThread) {
+  // The admitter that buffers a query runs the planning round itself, as
+  // the simulator plans inside HandleArrival; no planning thread exists.
+  ThreadRecordingPlanPolicy policy(0);
+  ConcurrentServerOptions options;
+  options.allow_rejection = false;
+  options.speedup = 100.0;
+  ConcurrentServer server(*task_, &policy, options);
+  const QueryTrace trace = MakeTrace(5.0, 10 * kSecond, 10 * kSecond);
+  ASSERT_GT(trace.size(), 0);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+  int planned_on_admitter = 0;
+  for (const std::thread::id id : policy.plan_threads) {
+    planned_on_admitter += static_cast<int>(policy.arrival_threads.count(id));
+  }
+  EXPECT_GT(planned_on_admitter, 0);
 }
 
 class ConcurrentSchembleTest : public ::testing::Test {
@@ -368,10 +445,10 @@ class ConcurrentSchembleTest : public ::testing::Test {
 };
 
 TEST_F(ConcurrentSchembleTest, BufferedPolicyDrainsThroughScheduler) {
-  // "Queries queue up so the scheduler must have run" is a statement
-  // about thread interleaving: on a 2-core host the admitter can drain
-  // arrivals before the scheduler thread ever wakes, and the test
-  // measures the host instead of the code.
+  // The admitter and the workers run the DP themselves, so a host that
+  // plans slower than the executors serve (a sanitizer build on 2 cores)
+  // can fall behind for the whole run and commit nothing: the test would
+  // measure the host instead of the code.
   if (const std::string reason = LoadSensitiveSkipReason();
       !reason.empty()) {
     GTEST_SKIP() << reason;
@@ -401,6 +478,31 @@ TEST_F(ConcurrentSchembleTest, BufferedPolicyDrainsThroughScheduler) {
     EXPECT_GT(metrics.accuracy(), 0.5);
     EXPECT_LT(metrics.deadline_miss_rate(), 0.5);
   }
+}
+
+TEST_F(ConcurrentSchembleTest, PlanningWorkerNeverBlocksOnItsOwnQueue) {
+  // Workers plan after publishing completions, and a queue of capacity 1
+  // is full as soon as it holds one task. A planning worker that blocked
+  // pushing into its own queue would wait forever, since only it drains
+  // that queue; the run finishing with everything processed is the check.
+  SchemblePolicy policy = MakeOraclePolicy();
+  ConcurrentServerOptions options;
+  options.allow_rejection = false;
+  options.queue_capacity = 1;
+  options.speedup = 100.0;
+  ConcurrentServer server(*task_, &policy, options);
+  DiurnalTraffic traffic = DiurnalTraffic::QaDayShape(
+      /*peak_rate_per_second=*/60.0, /*segment_duration=*/1 * kSecond);
+  ConstantDeadline deadlines(300 * kMillisecond);
+  TraceOptions trace_options;
+  trace_options.seed = 31;
+  const QueryTrace trace = BuildTrace(*task_, traffic, deadlines,
+                                      traffic.total_duration(), trace_options);
+  ASSERT_GT(trace.size(), 200);
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, trace.size());
+  EXPECT_GT(server.scheduler_stats().plan_commits, 0);
 }
 
 /// The TSan target: eight workers over the six-model CIFAR100-style
