@@ -16,11 +16,7 @@
 /// Every annotated Mutex (common/thread_annotations.h) is constructed with
 /// one of the ranks below. The rule is a strict total order: a thread may
 /// only BLOCK on a mutex whose rank is strictly greater than every rank it
-/// already holds. Mutex::TryLock is exempt from the ordering — a
-/// try-acquire can never deadlock, which is exactly why the work-stealing
-/// path (MpmcQueue::StealN) is allowed to probe a peer queue out of order —
-/// but a lock obtained via TryLock still joins the held set, so blocking
-/// acquisitions made UNDER it are validated like any other.
+/// already holds.
 ///
 /// In checked builds (see SCHEMBLE_LOCK_ORDER_CHECKS) every blocking
 /// acquisition validates against a thread-local held-lock stack and records
@@ -71,8 +67,7 @@ enum class LockRank : int {
   kDomain = 1,
   /// A scheduler domain's admission inbox (MpmcQueue<int> routing slots).
   kInbox = 2,
-  /// A per-executor task queue (MpmcQueue<Task>), including peer queues
-  /// probed by the work-stealing path (via TryLock, which is order-exempt).
+  /// A per-executor task queue (MpmcQueue<Task>).
   kExecutorQueue = 3,
   /// ManualClock::mu_ — Now() is called under a domain mutex in simulated
   /// time, so the clock must rank after every scheduler lock.
@@ -278,7 +273,7 @@ inline void ValidateBlockingAcquire(
 }
 
 /// Pushes a successfully acquired lock onto the held stack. Called for
-/// every acquisition path (Lock, TryLock, CondVar wait re-entry).
+/// every acquisition path (Lock, CondVar wait re-entry).
 inline void NoteAcquired(
     const void* mu, LockRank rank, const char* name,
     const std::source_location& loc = std::source_location::current()) {

@@ -77,10 +77,6 @@
 #define SCHEMBLE_RELEASE_SHARED(...) \
   SCHEMBLE_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 
-/// Function acquires the capability when it returns `b`.
-#define SCHEMBLE_TRY_ACQUIRE(...) \
-  SCHEMBLE_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT hold the capability (the function blocks or re-acquires).
 #define SCHEMBLE_EXCLUDES(...) \
   SCHEMBLE_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
@@ -110,8 +106,7 @@ namespace schemble {
 ///    validates against the thread's held-lock stack and the global
 ///    lock-order graph BEFORE touching the underlying mutex, so the first
 ///    rank inversion CHECK-fails with both acquisition sites instead of
-///    deadlocking. TryLock is order-exempt (it cannot block) but still
-///    joins the held set;
+///    deadlocking;
 ///  - the owning thread id is tracked (release/acquire atomics), so
 ///    re-entrant Lock() and Unlock()-by-non-owner are CHECK failures in
 ///    every build type instead of undefined behaviour, and components can
@@ -149,21 +144,6 @@ class SCHEMBLE_CAPABILITY("mutex") Mutex {
 #endif
     mu_.lock();
     MarkAcquired(loc);
-  }
-
-  /// Acquires when free; returns true iff the lock was taken. Exempt from
-  /// lock-order validation: a try-acquire can never block, which makes it
-  /// the sanctioned out-of-order primitive (work stealing probes peer
-  /// queues this way). The lock still joins the held-lock stack, so
-  /// blocking acquisitions made while holding it are validated.
-  bool TryLock(const std::source_location& loc =
-                   std::source_location::current())
-      SCHEMBLE_TRY_ACQUIRE(true) {
-    SCHEMBLE_CHECK(!HeldByCurrentThread())
-        << "re-entrant Mutex::TryLock";
-    if (!mu_.try_lock()) return false;
-    MarkAcquired(loc);
-    return true;
   }
 
   void Unlock() SCHEMBLE_RELEASE() {

@@ -21,9 +21,8 @@ namespace schemble {
 /// executors of one view all belong to the same domain. The discrete-event
 /// EnsembleServer is the degenerate single-domain case where the slice is
 /// the whole deployment. Policies therefore plan against exactly the
-/// executors their caller can dispatch to; peer domains' replicas are
-/// reachable only through the runtime's routing/stealing surface, never
-/// through a view.
+/// executors their caller can dispatch to; other domains' replicas are
+/// reachable only by routing a query there, never through a view.
 struct ExecutorView {
   int executor_id = 0;
   int model_index = 0;
@@ -156,10 +155,11 @@ struct PlanWorkspace {
 /// in the caller-owned PlanWorkspace, and MUST be safe to run
 /// concurrently with OnArrival calls on the same policy object (any
 /// counters it advances must be atomic). In the ConcurrentServer it may
-/// run on any runtime thread (the admitter, a worker, a tick thread), but
-/// never concurrently with another PlanOnView call of the same domain:
-/// the domain's planner token serializes them, and hands over under the
-/// domain mutex, so plain members written only by PlanOnView are safe.
+/// run on any runtime thread (the admitter, a worker, the arrival pump that
+/// runs the tail round), but never concurrently with another PlanOnView
+/// call of the same domain: the domain's planner token serializes them,
+/// and hands over under the domain mutex, so plain members written only
+/// by PlanOnView are safe.
 /// Objects a policy only reads (SyntheticTask, AccuracyProfile,
 /// Aggregator, DiscrepancyPredictor) expose const, state-free read paths
 /// that ARE safe to share across threads.

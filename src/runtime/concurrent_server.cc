@@ -37,7 +37,6 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   SCHEMBLE_CHECK_GT(options_.speedup, 0.0);
   SCHEMBLE_CHECK_GT(options_.queue_capacity, 0);
   SCHEMBLE_CHECK_GT(options_.inbox_capacity, 0);
-  SCHEMBLE_CHECK_GT(options_.steal_batch, 0);
   SCHEMBLE_CHECK_GE(options_.max_batch, 0);
   SCHEMBLE_CHECK_GT(options_.num_arrival_threads, 0)
       << "at least one arrival pump is required";
@@ -160,8 +159,8 @@ MetricSink* ConcurrentServer::NewMetricShard() {
 
 void ConcurrentServer::FinalizeQueries(std::span<const Finalization> batch,
                                        MetricSink* shard) {
-  // One workspace per finalizing thread (admitters, workers, deadline and
-  // tick threads, the pump that runs the tail round):
+  // One workspace per finalizing thread (admitters, workers, deadline
+  // threads, the pump that runs the tail round):
   // the aggregation/fill/meta-classifier chain reuses it, so steady-state
   // completions perform no heap allocations.
   thread_local CompletionWorkspace completion_ws;

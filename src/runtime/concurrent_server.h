@@ -71,8 +71,6 @@ struct ConcurrentServerOptions {
   std::vector<int> arrival_pump_weights;
   /// Bounded capacity of each domain's routed-arrival inbox.
   int inbox_capacity = 4096;
-  /// Max queries moved per work-steal / per rebalance donation round.
-  int steal_batch = 16;
   /// Per-executor fault injection for stress scenarios, indexed like
   /// executor_models (global executor id). Empty = every executor clean.
   /// Fail-stop scenarios must leave >= 1 live replica per model per domain
@@ -113,11 +111,12 @@ struct ConcurrentServerOptions {
 ///    HandleCompletion. A per-domain planner token keeps one round at a
 ///    time (PlanOnView stays serialized per domain); query-state
 ///    transitions and OnArrival stay serialized under that domain's
-///    annotated mutex. One domain starts no planning thread.
-///  - With several domains, a per-domain tick thread steals routed-but-
-///    unadmitted queries from peer inboxes when idle (MpmcQueue::StealN)
-///    and donates buffered queries to underloaded peers when overloaded.
-///    Domains never acquire each other's mutexes.
+///    annotated mutex. No thread exists only to plan.
+///  - Every domain runs the same threads, whatever num_domains is: its
+///    admitter, one worker per executor and, in rejection mode, a
+///    deadline thread. Routing is the only cross-domain mechanism: a
+///    query stays in the domain it was routed to, and no domain thread
+///    touches a peer.
 ///  - Workers publish completions in one domain-lock round trip per log
 ///    of ended tasks, right before they would block. Completion work runs
 ///    outside every mutex and records into per-thread MetricSink shards
@@ -148,9 +147,7 @@ class ConcurrentServer : private DomainHost {
   ServingMetrics Run(const QueryTrace& trace);
 
   int num_executors() const;
-  int num_domains() const override {
-    return static_cast<int>(domains_.size());
-  }
+  int num_domains() const { return static_cast<int>(domains_.size()); }
 
   /// Aggregate domain-mutex statistics (bench_runtime reports these): how
   /// often the critical sections were entered and total wall-clock time
@@ -184,7 +181,6 @@ class ConcurrentServer : private DomainHost {
   MetricSink* NewMetricShard() override;
   void FinalizeQueries(std::span<const Finalization> batch,
                        MetricSink* shard) override;
-  SchedulerDomain& peer(int domain) override { return *domains_[domain]; }
 
   /// One arrival pump: replays pump_indices_[pump] with its own SleepUntil
   /// pacing, routing against lock-free domain Load() reads and pushing

@@ -148,26 +148,6 @@ class MpmcQueue {
     return taken;
   }
 
-  /// Work-stealing batch pop: drains up to `max_items` into `out`
-  /// (appended) WITHOUT ever blocking — on neither the queue state (empty
-  /// returns 0) nor the queue mutex (TryLock: a steal attempt while the
-  /// owner holds the lock returns 0 instead of waiting, so a thief never
-  /// delays the owning threads and a stalled owner never delays the
-  /// thief). Items still drain after Close, so a thief racing shutdown
-  /// takes whatever remains (partial steals on close). Returns the number
-  /// taken; 0 means empty, closed-and-drained, OR momentarily contended —
-  /// callers must treat 0 as "nothing to steal right now", never as a
-  /// terminal signal.
-  size_t StealN(std::vector<T>* out, size_t max_items)
-      SCHEMBLE_EXCLUDES(mu_) {
-    if (!mu_.TryLock()) return 0;
-    const size_t taken = std::min(max_items, size_);
-    for (size_t i = 0; i < taken; ++i) out->push_back(PopLocked());
-    mu_.Unlock();
-    if (taken > 0) not_full_.NotifyAll();
-    return taken;
-  }
-
   /// Non-blocking pop; nullopt when currently empty.
   std::optional<T> TryPop() SCHEMBLE_EXCLUDES(mu_) {
     std::optional<T> value;
@@ -241,8 +221,7 @@ class MpmcQueue {
 
   /// Ranked kInbox or kExecutorQueue inside the runtime (see constructor);
   /// both positions order after the domain mutex, which the anchor
-  /// annotation encodes for the static analysis. Work-stealing peers
-  /// acquire this lock only via TryLock (StealN), the order-exempt path.
+  /// annotation encodes for the static analysis.
   // ranked: constructor parameter (kInbox / kExecutorQueue / kLeaf)
   mutable Mutex mu_ SCHEMBLE_ACQUIRED_AFTER(lock_ranks::domain_anchor);
   CondVar not_empty_;

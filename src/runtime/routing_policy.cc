@@ -15,16 +15,8 @@ int64_t Executors(const DomainLoad& d) {
 
 }  // namespace
 
-bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
-                        int64_t factor) {
-  return factor * WorkItems(a) * Executors(b) <
-         WorkItems(b) * Executors(a);
-}
-
-int64_t LevellingTransfer(const DomainLoad& from, const DomainLoad& to) {
-  const int64_t excess =
-      WorkItems(from) * Executors(to) - WorkItems(to) * Executors(from);
-  return excess > 0 ? excess / (Executors(from) + Executors(to)) : 0;
+bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b) {
+  return WorkItems(a) * Executors(b) < WorkItems(b) * Executors(a);
 }
 
 int RoundRobinRouting::Route(const TracedQuery& /*query*/, SimTime /*now*/,

@@ -29,20 +29,10 @@ struct DomainLoad {
   int executors = 0;
 };
 
-/// True when `factor` times a's work items per executor (inbox + buffered
-/// + queued tasks) is strictly below b's. Exact integer
-/// cross-multiplication: no FP, no rounding ties. factor 1 is the
-/// least-loaded comparison; the runtime's rebalancer asks for factor 2
-/// ("under half the pressure").
-bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b,
-                        int64_t factor = 1);
-
-/// Work items `from` can hand to `to` before the two per-executor loads
-/// cross: floor((load_from * ex_to - load_to * ex_from) / (ex_from +
-/// ex_to)), and 0 when `from` is not the more loaded one. A transfer of at
-/// most this many leaves `from` at least as loaded as `to`, so the
-/// recipient never sees its donor as the less loaded side afterwards.
-int64_t LevellingTransfer(const DomainLoad& from, const DomainLoad& to);
+/// True when a's work items per executor (inbox + buffered + queued
+/// tasks) are strictly below b's: the least-loaded comparison. Exact
+/// integer cross-multiplication: no FP, no rounding ties.
+bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b);
 
 /// Pluggable admission-side query placement: picks the scheduler domain an
 /// arriving query is routed to (the minimal child-picker idiom of the

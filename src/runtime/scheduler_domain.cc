@@ -1,7 +1,6 @@
 #include "runtime/scheduler_domain.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/hot_path.h"
@@ -11,18 +10,6 @@
 #include "serving/placement.h"
 
 namespace schemble {
-namespace {
-
-/// Virtual period of the multi-domain tick (steal, plan, rebalance).
-constexpr SimTime kRebalancePeriod = 10 * kMillisecond;
-
-/// Real-time floor of the multi-domain tick. kRebalancePeriod is 1 us real
-/// at speedup 1e4 and 0.1 ns at 1e8; unfloored, every multi-domain tick
-/// thread would wake continuously just to find nothing to steal.
-constexpr std::chrono::nanoseconds kSchedulerTickFloor =
-    std::chrono::microseconds(200);
-
-}  // namespace
 
 SchedulerDomain::SchedulerDomain(const SyntheticTask& task,
                                  ServingPolicy* policy, DomainHost* host,
@@ -100,10 +87,6 @@ SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
   s.plans_invalidated = plans_invalidated_.load(std::memory_order_relaxed);
   s.replans = replans_.load(std::memory_order_relaxed);
   s.replans_skipped = replans_skipped_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.stolen = stolen_.load(std::memory_order_relaxed);
-  s.rebalances = rebalances_.load(std::memory_order_relaxed);
-  s.donated = donated_.load(std::memory_order_relaxed);
   s.failstops = failstops_.load(std::memory_order_relaxed);
   s.requeues = requeues_.load(std::memory_order_relaxed);
   s.stale_tasks_dropped =
@@ -121,10 +104,6 @@ SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
   plans_invalidated += other.plans_invalidated;
   replans += other.replans;
   replans_skipped += other.replans_skipped;
-  steals += other.steals;
-  stolen += other.stolen;
-  rebalances += other.rebalances;
-  donated += other.donated;
   failstops += other.failstops;
   requeues += other.requeues;
   stale_tasks_dropped += other.stale_tasks_dropped;
@@ -154,13 +133,6 @@ void SchedulerDomain::Start() {
     SetExactTimerSlack();
     AdmitterLoop(shard);
   });
-  if (host_->num_domains() > 1) {
-    shard = host_->NewMetricShard();
-    threads_.emplace_back([this, shard] {
-      SetExactTimerSlack();
-      TickLoop(shard);
-    });
-  }
   if (options_.allow_rejection) {
     shard = host_->NewMetricShard();
     threads_.emplace_back([this, shard] {
@@ -183,7 +155,6 @@ void SchedulerDomain::Shutdown() {
     MutexLock lock(&mu_);
     shutdown_ = true;
   }
-  tick_cv_.NotifyAll();
   deadline_cv_.NotifyAll();
   inbox_.Close();
   for (Executor& ex : executors_) ex.queue->Close();
@@ -210,22 +181,13 @@ size_t SchedulerDomain::TryPushRoutedAll(std::span<const int> indices) {
   return pushed;
 }
 
-size_t SchedulerDomain::StealRouted(std::vector<int>* out, size_t max_items) {
-  const size_t taken = inbox_.StealN(out, max_items);
-  if (taken > 0) {
-    inbox_depth_.fetch_sub(static_cast<int64_t>(taken),
-                           std::memory_order_acq_rel);
-  }
-  return taken;
-}
-
 void SchedulerDomain::ArrivalsDone() {
   {
     MutexLock lock(&mu_);
     arrivals_done_ = true;
     if (!TakePlannerLocked()) return;
   }
-  PlanRounds(tail_shard_, /*allow_skip=*/false);
+  PlanRounds(tail_shard_);
 }
 
 bool SchedulerDomain::TakePlannerLocked() {
@@ -237,12 +199,10 @@ bool SchedulerDomain::TakePlannerLocked() {
   return true;
 }
 
-void SchedulerDomain::PlanRounds(MetricSink* shard, bool allow_skip) {
+void SchedulerDomain::PlanRounds(MetricSink* shard) {
   plan_scratch_.shard = shard;
   while (true) {
-    const bool replanning = PlanAndDispatch(allow_skip);
-    // Later rounds answer events, never a tick.
-    allow_skip = true;
+    const bool replanning = PlanAndDispatch();
     MutexLock lock(&mu_);
     // Same critical section as the release: a thread that found the token
     // taken has either left its request by now, and gets its round here,
@@ -433,10 +393,10 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
   PushRuns(s);
   if (!s->rejects.empty()) host_->FinalizeQueries(s->rejects, s->shard);
   if (notify_deadline) deadline_cv_.NotifyAll();
-  if (plan) PlanRounds(s->shard, /*allow_skip=*/true);
+  if (plan) PlanRounds(s->shard);
 }
 
-bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
+bool SchedulerDomain::PlanAndDispatch() {
   PlanWorkspace* plan_ws = &plan_ws_;
   ServerView* view = &plan_view_;
   SchedulerScratch* s = &plan_scratch_;
@@ -453,13 +413,12 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
     if (shutdown_ || lifecycle_.buffer().empty()) return false;
     // Replan avoidance: when nothing that feeds the planner changed since
     // the last planned snapshot (no admission assigned or buffered, no
-    // batch completed, no buffered query finalized/donated/re-queued),
+    // batch completed, no buffered query finalized or re-queued),
     // re-running PlanOnView could only reproduce the previous answer —
-    // skip the whole snapshot -> plan -> commit round. Tick-driven rounds
-    // (allow_skip false) and the arrivals-done drain tail always plan, so
-    // the force-mode stuck check below can still fire.
-    if (allow_skip && !arrivals_done_ &&
-        view_generation_ == last_planned_gen_) {
+    // skip the whole snapshot -> plan -> commit round. The arrivals-done
+    // drain tail always plans, so the force-mode stuck check below can
+    // still fire.
+    if (!arrivals_done_ && view_generation_ == last_planned_gen_) {
       // relaxed-ok: monotonic telemetry counter
       replans_skipped_.fetch_add(1, std::memory_order_relaxed);
       return false;
@@ -511,8 +470,8 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
     if (!plan_ws->output.assignments.empty()) BuildViewInto(view);
     // Validation: a plan entry is committable only if its query's
     // generation still matches the snapshot — otherwise the deadline
-    // thread, a worker, or a donation moved the query while we planned,
-    // and the entry is stale.
+    // thread, a worker, or a fail-stop requeue moved the query while we
+    // planned, and the entry is stale.
     int64_t committed = 0;
     int64_t invalidated = 0;
     for (const BufferedAssignment& assignment :
@@ -542,12 +501,9 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
     last_planned_gen_ = snapshot_gen;
     // Force mode has no deadline thread to finalize abandoned queries; a
     // policy that leaves the buffer untouched forever would hang the run.
-    // Multi-domain configurations do not count it: a stuck shard is
-    // expected to be drained by peer steals/donations instead.
     stuck_buffered = lifecycle_.buffer().size();
     stuck = all_idle && committed == 0 && arrivals_done_ &&
-            stuck_buffered > 0 && !replanning && !options_.allow_rejection &&
-            host_->num_domains() == 1;
+            stuck_buffered > 0 && !replanning && !options_.allow_rejection;
     if (stuck) {
       // relaxed-ok: monotonic telemetry counter
       stuck_rounds_.fetch_add(1, std::memory_order_relaxed);
@@ -560,104 +516,6 @@ bool SchedulerDomain::PlanAndDispatch(bool allow_skip) {
                             "force mode";
   }
   return replanning;
-}
-
-void SchedulerDomain::MaybeSteal(ServerView* view, SchedulerScratch* s) {
-  // relaxed-ok: advisory load hint; a stale read only delays a steal
-  if (buffered_count_.load(std::memory_order_relaxed) > 0) return;
-  if (inbox_depth_.load(std::memory_order_acquire) > 0) return;
-  bool any_idle = false;
-  for (const Executor& ex : executors_) {
-    // A fail-stopped executor is permanently not-busy with an empty queue;
-    // without this skip it would read as idle capacity and drive steals
-    // forever.
-    if (ex.failed.load(std::memory_order_acquire)) continue;
-    if (!ex.busy.load(std::memory_order_acquire) &&
-        ex.queued.load(std::memory_order_acquire) == 0) {
-      any_idle = true;
-      break;
-    }
-  }
-  if (!any_idle) return;
-  // Victim selection: the peer with the deepest routed backlog. Published
-  // depths are approximate; a stale pick just means a smaller (or empty)
-  // steal.
-  int victim = -1;
-  int64_t deepest = 0;
-  for (int d = 0; d < host_->num_domains(); ++d) {
-    if (d == slice_.domain_id) continue;
-    const int64_t depth = host_->peer(d).inbox_depth();  // crosses(domain)
-    if (depth > deepest) {
-      deepest = depth;
-      victim = d;
-    }
-  }
-  if (victim < 0) return;
-  s->stolen.clear();
-  const size_t got = host_->peer(victim).StealRouted(  // crosses(domain)
-      &s->stolen, static_cast<size_t>(options_.steal_batch));
-  if (got == 0) return;
-  // relaxed-ok: monotonic telemetry counter
-  steals_.fetch_add(1, std::memory_order_relaxed);
-  stolen_.fetch_add(static_cast<int64_t>(got), std::memory_order_relaxed);
-  AdmitBatch(s->stolen, view, s);
-}
-
-void SchedulerDomain::MaybeRebalance(ServerView* view, SchedulerScratch* s) {
-  s->donations.clear();
-  int target = -1;
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) return;
-    const std::vector<int>& buffer = lifecycle_.buffer();
-    // Only shed load when the buffer is deep relative to our executor
-    // slice — a couple of in-flight plans' worth stays local.
-    if (buffer.size() <= 2 * executors_.size()) return;
-    DomainLoad best;
-    for (int d = 0; d < host_->num_domains(); ++d) {
-      if (d == slice_.domain_id) continue;
-      const DomainLoad load = host_->peer(d).Load();  // crosses(domain)
-      if (target < 0 || StrictlyLessLoaded(load, best)) {
-        target = d;
-        best = load;
-      }
-    }
-    // Donate only into a pronounced imbalance: the recipient must sit
-    // under half our normalized pressure, so balanced systems never churn.
-    const DomainLoad mine = Load();
-    if (target < 0 || !StrictlyLessLoaded(best, mine, /*factor=*/2)) {
-      return;
-    }
-    // Never past the level point: a batch that overshoots can leave us
-    // under half the recipient's pressure, and its rebalancer then donates
-    // the same queries straight back.
-    const size_t batch = std::min(
-        {static_cast<size_t>(options_.steal_batch),
-         buffer.size() - executors_.size(),
-         static_cast<size_t>(LevellingTransfer(mine, best))});
-    // The newest queries leave, newest first. Release bumps each one's
-    // generation, invalidating any in-flight plan entry for it.
-    s->donations.assign(buffer.rbegin(),
-                        buffer.rbegin() + static_cast<ptrdiff_t>(batch));
-    for (const int index : s->donations) lifecycle_.Release(index);
-    PublishBufferedLocked();
-    // Donations shrank the buffer: invalidate any skip decision pending on
-    // the old view.
-    if (!s->donations.empty()) ++view_generation_;
-  }
-  if (s->donations.empty()) return;
-  const std::span<const int> donations(s->donations);
-  const size_t sent =
-      host_->peer(target).TryPushRoutedAll(donations);  // crosses(domain)
-  if (sent > 0) {
-    // No explicit wakeup: the recipient's blocking admitter is woken by
-    // its inbox's own condition variable.
-    // relaxed-ok: monotonic telemetry counter
-    rebalances_.fetch_add(1, std::memory_order_relaxed);
-    donated_.fetch_add(static_cast<int64_t>(sent), std::memory_order_relaxed);
-  }
-  // Recipient inbox full or closed: re-admit the rest here.
-  if (sent < donations.size()) AdmitBatch(donations.subspan(sent), view, s);
 }
 
 void SchedulerDomain::AdmitterLoop(MetricSink* shard) {
@@ -679,29 +537,6 @@ void SchedulerDomain::AdmitterLoop(MetricSink* shard) {
   }
 }
 
-void SchedulerDomain::TickLoop(MetricSink* shard) {
-  const std::chrono::nanoseconds tick = std::max(
-      RealDuration(kRebalancePeriod, options_.speedup), kSchedulerTickFloor);
-  ServerView view;
-  SchedulerScratch scratch(shard);
-  while (true) {
-    bool plan = false;
-    {
-      MutexLock lock(&mu_);
-      if (!shutdown_) tick_cv_.WaitFor(mu_, tick);
-      if (shutdown_) return;
-      plan = !lifecycle_.buffer().empty() && TakePlannerLocked();
-    }
-    // The tick's round never skips: it is the backstop that re-plans after
-    // pure time passage (availability projections age even when no
-    // generation-bumping event fired).
-    if (plan) PlanRounds(shard, /*allow_skip=*/false);
-    // Steal when starving, donate when drowning.
-    MaybeSteal(&view, &scratch);
-    MaybeRebalance(&view, &scratch);
-  }
-}
-
 void SchedulerDomain::DeadlineLoop(MetricSink* shard) {
   // Deadlines are armed at admission (assign or buffer) and walked in
   // order. Sleeps on the domain mutex's condition variable until the
@@ -711,9 +546,9 @@ void SchedulerDomain::DeadlineLoop(MetricSink* shard) {
   while (!shutdown_) {
     // Drop the entries that no longer matter before choosing how long to
     // wait, so the thread never sleeps toward a deadline only to discard
-    // it: finalized queries, and pending ones — released to a peer (its
-    // heap covers the deadline) or for re-admission here (AdmitBatch
-    // re-arms the deadline, or finalizes the query at once if overdue).
+    // it: finalized queries, and pending ones released by a fail-stop for
+    // re-admission (AdmitBatch re-arms the deadline, or finalizes the
+    // query at once if overdue).
     while (!deadline_heap_.empty()) {
       const QueryPhase phase = lifecycle_.phase(deadline_heap_.top().second);
       if (phase != QueryPhase::kPending && phase != QueryPhase::kFinalized) {
@@ -801,7 +636,7 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
     run.clear();
     bool plan = PublishCompletions(ex.model, &log, shard);
     if (plan && ex.queue->TryPopN(&run, kRunLength) == 0) {
-      PlanRounds(shard, /*allow_skip=*/true);
+      PlanRounds(shard);
       plan = false;
     }
     if (run.empty() && ex.queue->PopN(&run, kRunLength) == 0) {
@@ -816,7 +651,7 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
         // back through RequeueTasks so no query is lost — the worker
         // thread then exits for good.
         if (PublishCompletions(ex.model, &log, shard) || plan) {
-          PlanRounds(shard, /*allow_skip=*/true);
+          PlanRounds(shard);
         }
         std::vector<Task> backlog(run.begin() + static_cast<ptrdiff_t>(t),
                                   run.end());
@@ -857,7 +692,7 @@ void SchedulerDomain::WorkerLoop(int executor_id, MetricSink* shard) {
       if (RealDuration(service, options_.speedup).count() > 0) {
         plan = PublishCompletions(ex.model, &log, shard) || plan;
       }
-      if (plan) PlanRounds(shard, /*allow_skip=*/true);
+      if (plan) PlanRounds(shard);
       plan = false;
       clock_->SleepUntil(end);
       ex.busy.store(false, std::memory_order_release);
@@ -896,9 +731,9 @@ bool SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
         }
       } else if (state.phase() != QueryPhase::kFinalized) {
         // Generation moved on while this task was in service: the query
-        // was re-queued after a sibling executor fail-stopped (or donated
-        // away and re-planned). Its new assignment owns the done mask
-        // now; folding this stale completion in would corrupt it.
+        // was re-queued after a sibling executor fail-stopped. Its new
+        // assignment owns the done mask now; folding this stale
+        // completion in would corrupt it.
         ++stale;
       }
     }

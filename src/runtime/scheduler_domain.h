@@ -59,8 +59,8 @@ struct Finalization {
 /// Services a scheduler domain consumes from its owning server. The host
 /// owns everything global — the trace, the clock, the metric shards, the
 /// run-completion doorbell — while each domain owns one shard of the
-/// scheduling state. FinalizeQueries and peer() are safe to call from any
-/// domain thread and are called with NO domain mutex held.
+/// scheduling state. FinalizeQueries is safe to call from any domain thread
+/// and is called with NO domain mutex held.
 class DomainHost {
  public:
   virtual ~DomainHost() = default;
@@ -79,8 +79,6 @@ class DomainHost {
   /// failure instead of silent metric corruption.
   virtual void FinalizeQueries(std::span<const Finalization> batch,
                                MetricSink* shard) = 0;
-  virtual SchedulerDomain& peer(int domain) = 0;
-  virtual int num_domains() const = 0;
 };
 
 /// The part of the deployment one domain owns. Everything else a domain
@@ -105,26 +103,21 @@ struct DomainSlice {
 /// domain runs its snapshot -> plan -> validate/commit round on the thread
 /// whose event made it useful — the admitter after a batch, a worker after
 /// publishing completions — under a single-planner token (see DESIGN.md
-/// "Snapshot planning & batched dispatch"). With several domains a tick thread
-/// adds stealing, rebalancing and time-driven rounds. Queries enter through
-/// a bounded MPMC inbox so the admission path never touches the domain
-/// mutex on the fast path (the inbox's internal queue lock is the only
-/// synchronization, and the blocking admitter is woken by the queue's own
-/// condition variable), and leave through the host's FinalizeQueries
-/// exactly once.
+/// "Snapshot planning & batched dispatch"). Every domain, one or many, runs
+/// the same thread kinds — admitter, workers, deadline thread — and plans
+/// only on events. Queries enter through a bounded MPMC inbox so the
+/// admission path never touches the domain mutex on the fast path (the
+/// inbox's internal queue lock is the only synchronization, and the
+/// blocking admitter is woken by the queue's own condition variable), and
+/// leave through the host's FinalizeQueries exactly once.
 ///
-/// Cross-domain protocol (see DESIGN.md "Sharded runtime"): domains
-/// interact ONLY through each other's inboxes and published load atomics —
-/// never through a peer's mutex. Work-stealing pulls routed-but-unadmitted
-/// queries out of a peer's inbox with MpmcQueue::StealN; rebalancing
-/// releases buffered (admitted, unassigned) queries and pushes them into a
-/// peer's inbox with TryPushRoutedAll (the recipient's blocking admitter
-/// picks them up), re-admitting locally through AdmitBatch whatever does
-/// not fit. Every way back into a domain goes through AdmitBatch, so a
-/// query is admitted (not kPending) in at most one domain at a time or is
-/// in flight in one inbox, which makes lost/duplicated queries
-/// structurally impossible; the host's exactly-once finalize CHECK
-/// enforces it.
+/// Domains never interact (see DESIGN.md "Sharded runtime"): the arrival
+/// pumps route each query into exactly one domain's inbox, reading the
+/// domains' published load atomics, and the query stays in that domain
+/// until it is finalized. Every way into a domain goes through AdmitBatch,
+/// so a query is admitted (not kPending) at most once at a time; the
+/// host's exactly-once finalize CHECK turns any double dispatch into a
+/// loud failure.
 class SchedulerDomain {
  public:
   /// `options` is the owning server's configuration and must outlive the
@@ -137,9 +130,8 @@ class SchedulerDomain {
   SchedulerDomain(const SchedulerDomain&) = delete;
   SchedulerDomain& operator=(const SchedulerDomain&) = delete;
 
-  /// Spawns the admitter, the deadline thread (rejection mode), the tick
-  /// thread (several domains) and the workers. The host's trace/clock must
-  /// be live; one-shot.
+  /// Spawns the admitter, the deadline thread (rejection mode) and the
+  /// workers. The host's trace/clock must be live; one-shot.
   void Start();
   /// Flags shutdown, closes the inbox and executor queues, wakes every
   /// blocked thread. Idempotent.
@@ -151,58 +143,46 @@ class SchedulerDomain {
   /// condition variable). Admission-thread side of the fast path: never
   /// touches the domain mutex.
   void PushRouted(std::span<const int> indices);
-  /// Non-blocking batched variant (arrival-pump fast path, donating
-  /// peers): pushes a prefix of `indices` bounded by the inbox's free
-  /// space, never parking the caller on this domain. Returns the number
-  /// pushed; the pump falls back to the blocking PushRouted for the
-  /// remainder, a donor re-admits it locally.
+  /// Non-blocking batched variant (arrival-pump fast path): pushes a
+  /// prefix of `indices` bounded by the inbox's free space, never parking
+  /// the caller on this domain. Returns the number pushed; the pump falls
+  /// back to the blocking PushRouted for the remainder.
   size_t TryPushRoutedAll(std::span<const int> indices);
-  /// Bulk-steals up to `max_items` routed-but-unadmitted queries without
-  /// blocking this domain's threads (thief side of work-stealing). Appends
-  /// to `out`; returns the count (0 = empty or momentarily contended).
-  size_t StealRouted(std::vector<int>* out, size_t max_items);
   /// Signals that the admission thread has routed the whole trace, and
   /// runs the tail planning round on the calling thread (rounds stop
   /// skipping from here on, so the force-mode stuck check gets its round
   /// even when no further event arrives). Called once per domain.
   void ArrivalsDone() SCHEMBLE_EXCLUDES(mu_);
 
-  /// Published inbox occupancy (lock-free, approximate): what a thief
-  /// compares when picking the peer to steal from.
-  int64_t inbox_depth() const {
-    return inbox_depth_.load(std::memory_order_acquire);
-  }
   /// This domain's load, read straight from the atomics its threads
   /// already maintain (inbox depth, buffered count, executor queue
   /// depths). Lock-free and individually approximate: each counter is
   /// read independently, never as a consistent snapshot. Arrival pumps
-  /// route on it and peers rebalance on it.
+  /// route on it.
   DomainLoad Load() const;
   int num_executors() const { return static_cast<int>(executors_.size()); }
 
   /// Scheduler telemetry; safe to read after the run drains (or any time,
-  /// with per-counter consistency only). The stealing/rebalancing
-  /// counters only advance with num_domains > 1.
+  /// with per-counter consistency only).
   struct StatsSnapshot {
     /// Planning rounds run outside the domain mutex.
     int64_t plans = 0;
     /// Plan entries that passed generation validation and were committed.
     int64_t plan_commits = 0;
     /// Plan entries dropped at commit because the query was assigned,
-    /// finalized or donated while planning ran off-lock.
+    /// finalized or re-queued while planning ran off-lock.
     int64_t plans_invalidated = 0;
     /// Immediate re-plan rounds triggered by invalidated entries.
     int64_t replans = 0;
     /// Scheduler rounds that skipped PlanOnView entirely because the view
     /// generation was unchanged since the last planned snapshot (no
-    /// arrival, completion, steal, requeue or donation touched the buffer
-    /// or capacity in between, so replanning could only reproduce the
-    /// previous answer).
+    /// arrival, completion or requeue touched the buffer or capacity in
+    /// between, so replanning could only reproduce the previous answer).
     int64_t replans_skipped = 0;
-    /// Steal rounds that obtained at least one query / queries stolen in.
+    /// Always 0: domains no longer steal or donate. Kept until the
+    /// benchmark drops its runtime.steals/stolen/rebalances/donated rows.
     int64_t steals = 0;
     int64_t stolen = 0;
-    /// Donation rounds that moved at least one query / queries donated out.
     int64_t rebalances = 0;
     int64_t donated = 0;
     /// Fault-injection telemetry: executors that fail-stopped, queries
@@ -218,10 +198,10 @@ class SchedulerDomain {
     /// exactly 1.0 on the unbatched path.
     int64_t batches_executed = 0;
     int64_t tasks_batched = 0;
-    /// Force-mode, single-domain rounds after the last arrival that
-    /// committed nothing while the buffer was non-empty and every live
-    /// executor idle: a policy leaving queries stuck (each one is also
-    /// logged). The stress invariants require 0.
+    /// Force-mode rounds after the last arrival that committed nothing
+    /// while the buffer was non-empty and every live executor idle: a
+    /// policy leaving queries stuck (each one is also logged). The stress
+    /// invariants require 0.
     int64_t stuck_rounds = 0;
 
     /// Mean tasks per execution; 1.0 when nothing coalesced (or ran).
@@ -293,9 +273,7 @@ class SchedulerDomain {
     explicit SchedulerScratch(MetricSink* thread_shard) : shard(thread_shard) {}
     MetricSink* shard;
     std::vector<int> incoming;
-    std::vector<int> stolen;
     std::vector<Finalization> rejects;
-    std::vector<int> donations;
     std::vector<std::vector<Task>> runs;
   };
 
@@ -318,11 +296,8 @@ class SchedulerDomain {
   };
 
   /// Each loop runs on its own thread and records every query it
-  /// finalizes into `shard`, that thread's metric shard. TickLoop runs
-  /// only with several domains: steal, plan without skipping, rebalance,
-  /// once per tick.
+  /// finalizes into `shard`, that thread's metric shard.
   void AdmitterLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
-  void TickLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   void DeadlineLoop(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   void WorkerLoop(int executor_id, MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
   /// Applies every completion a worker of `model` logged in one critical
@@ -335,23 +310,23 @@ class SchedulerDomain {
   bool PublishCompletions(int model, CompletionLog* log, MetricSink* shard)
       SCHEMBLE_EXCLUDES(mu_);
 
-  /// Admits a batch of kPending trace indices — routed, stolen, donation
-  /// leftovers or fail-stop requeues; the one way into a domain. One
-  /// critical section runs the policy's OnArrival per query, places each
-  /// assigned task against the same view (so later queries in the batch
-  /// see the load earlier ones added) and arms the deadlines; the runs are
-  /// pushed and rejects finalized off-lock.
+  /// Admits a batch of kPending trace indices — routed or fail-stop
+  /// requeues; the one way into a domain. One critical section runs the
+  /// policy's OnArrival per query, places each assigned task against the
+  /// same view (so later queries in the batch see the load earlier ones
+  /// added) and arms the deadlines; the runs are pushed and rejects
+  /// finalized off-lock.
   void AdmitBatch(std::span<const int> indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
   /// shard, through the planning context; the caller holds the planner
-  /// token. When `allow_skip` is set and the view generation equals the
-  /// last planned snapshot's, the round is elided entirely (counted in
+  /// token. Before the last arrival, a round whose view generation equals
+  /// the last planned snapshot's is elided entirely (counted in
   /// replans_skipped). Commits are placed in the validating critical
   /// section and pushed before returning. Returns whether commit-time
   /// validation dropped entries while queries stay buffered (the round
   /// asks for its own re-plan).
-  bool PlanAndDispatch(bool allow_skip) SCHEMBLE_EXCLUDES(mu_);
+  bool PlanAndDispatch() SCHEMBLE_EXCLUDES(mu_);
   /// Under mu_: takes the planner token, or, when another thread holds
   /// it, leaves that holder a replan request. Returns whether the caller
   /// now holds the token (and must call PlanRounds).
@@ -360,18 +335,7 @@ class SchedulerDomain {
   /// recording finalizations into its `shard`, until no round is
   /// requested, then releases the token. Requests are re-checked under mu_
   /// in the section that releases it, so no round is lost.
-  void PlanRounds(MetricSink* shard, bool allow_skip) SCHEMBLE_EXCLUDES(mu_);
-  /// Thief side of work-stealing: when this domain has nothing buffered,
-  /// nothing routed and an idle executor, pull a batch out of the deepest
-  /// peer inbox and admit it here.
-  void MaybeSteal(ServerView* view, SchedulerScratch* s)
-      SCHEMBLE_EXCLUDES(mu_);
-  /// Donor side of rebalancing: when this domain's buffer is deep and a
-  /// peer is far less loaded, release a tail batch of buffered queries
-  /// into that peer's inbox (TryPushRoutedAll; leftovers are re-admitted
-  /// locally through AdmitBatch).
-  void MaybeRebalance(ServerView* view, SchedulerScratch* s)
-      SCHEMBLE_EXCLUDES(mu_);
+  void PlanRounds(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
 
   /// Fills `batch` with up to `cap` tasks of `ex`'s model: the local run
   /// remainder starting at `start` first, then a non-blocking top-up from
@@ -436,8 +400,7 @@ class SchedulerDomain {
   Clock* clock_ = nullptr;
 
   /// Routed-but-unadmitted trace indices: the only write path into a
-  /// domain from outside (admission thread, donating peers) and the only
-  /// read path out (owning admitter drains, thieves steal).
+  /// domain from outside (the arrival pumps), drained by the admitter.
   MpmcQueue<int> inbox_;
   /// Published inbox occupancy for lock-free load reads. Pushers add AFTER
   /// the push lands and drainers subtract AFTER the pop, so the count can
@@ -478,9 +441,9 @@ class SchedulerDomain {
   bool replan_requested_ SCHEMBLE_GUARDED_BY(mu_) = false;
   /// Bumped whenever the planning inputs change: a batch admits or buffers
   /// queries, a worker batch completes (capacity freed), a buffered query
-  /// is finalized, donated, or re-queued. The planner compares it to the
-  /// generation of its last planned snapshot and skips the whole
-  /// snapshot -> PlanOnView -> commit round when unchanged.
+  /// is finalized, or an assigned one is re-queued. The planner compares
+  /// it to the generation of its last planned snapshot and skips the
+  /// whole snapshot -> PlanOnView -> commit round when unchanged.
   uint64_t view_generation_ SCHEMBLE_GUARDED_BY(mu_) = 0;
 
   /// The domain's one planning context. Only the holder of the planner
@@ -496,8 +459,6 @@ class SchedulerDomain {
   /// The metric shard of the tail round ArrivalsDone runs on its caller.
   MetricSink* tail_shard_ = nullptr;
 
-  /// Wakes the tick thread at shutdown (several domains only).
-  CondVar tick_cv_;
   /// Wakes the deadline thread for newly admitted (earlier) deadlines and
   /// at shutdown.
   CondVar deadline_cv_;
@@ -510,10 +471,6 @@ class SchedulerDomain {
   std::atomic<int64_t> plans_invalidated_{0};
   std::atomic<int64_t> replans_{0};
   std::atomic<int64_t> replans_skipped_{0};
-  std::atomic<int64_t> steals_{0};
-  std::atomic<int64_t> stolen_{0};
-  std::atomic<int64_t> rebalances_{0};
-  std::atomic<int64_t> donated_{0};
   std::atomic<int64_t> failstops_{0};
   std::atomic<int64_t> requeues_{0};
   std::atomic<int64_t> stale_tasks_dropped_{0};

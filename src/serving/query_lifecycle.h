@@ -16,7 +16,7 @@ namespace schemble {
 /// Where one query stands in the serving node that tracks it.
 enum class QueryPhase : uint8_t {
   /// Not admitted here: before its arrival, or (runtime only) released to
-  /// be admitted again after a donation or a fail-stop requeue.
+  /// be admitted again after a fail-stop requeue.
   kPending,
   /// Admitted and waiting in the arrival-ordered buffer for a subset.
   kBuffered,

@@ -84,20 +84,13 @@ void CheckSchedulerCounters(
   ctx.ExpectGe(sched.failstops, 0, "failstops");
   ctx.ExpectGe(sched.requeues, 0, "requeues");
   ctx.ExpectGe(sched.stale_tasks_dropped, 0, "stale_tasks_dropped");
-  ctx.ExpectGe(sched.steals, 0, "steals");
-  ctx.ExpectGe(sched.stolen, sched.steals, "stolen vs steal rounds");
-  ctx.ExpectGe(sched.donated, sched.rebalances, "donated vs rebalances");
   // Progress: no round after the last arrival may leave queries buffered
-  // beside idle executors (force mode, one domain; see StatsSnapshot).
+  // beside idle executors (force mode, every domain; see StatsSnapshot).
   ctx.ExpectEq(sched.stuck_rounds, 0, "stuck_rounds");
   ctx.Note("counters: failstops=" + std::to_string(sched.failstops) +
            " requeues=" + std::to_string(sched.requeues) +
            " stale_tasks_dropped=" +
            std::to_string(sched.stale_tasks_dropped) +
-           " steals=" + std::to_string(sched.steals) +
-           " stolen=" + std::to_string(sched.stolen) +
-           " rebalances=" + std::to_string(sched.rebalances) +
-           " donated=" + std::to_string(sched.donated) +
            " plans=" + std::to_string(sched.plans) +
            " plan_commits=" + std::to_string(sched.plan_commits) +
            " plans_invalidated=" + std::to_string(sched.plans_invalidated) +

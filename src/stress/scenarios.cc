@@ -344,7 +344,7 @@ void MultiTenantPriorities(ScenarioContext& ctx) {
 
 /// Bursty overlay: a steady Poisson floor merged with a diurnal burst
 /// (disjoint query-id ranges), replayed into a two-domain sharded server
-/// with deliberately tiny executor queues so the steal/donate paths fire.
+/// with deliberately tiny executor queues so admission backs up.
 void BurstyOverlay(ScenarioContext& ctx) {
   const uint64_t task_seed = ctx.DrawSeed("task_seed");
   const SyntheticTask task = MakeTextMatchingTask(task_seed);
@@ -384,7 +384,6 @@ void BurstyOverlay(ScenarioContext& ctx) {
   options.speedup = kSpeedup;
   options.seed = ctx.DrawSeed("server_seed");
   options.queue_capacity = ctx.DrawInt("queue_capacity", 4, 16);
-  options.steal_batch = 8;
 
   OriginalPolicy policy_a;
   OriginalPolicy policy_b;
@@ -413,7 +412,6 @@ void ShardedChaos(ScenarioContext& ctx) {
   options.routing = RoutingPolicyKind::kLeastLoaded;
   options.speedup = kSpeedup;
   options.seed = ctx.DrawSeed("server_seed");
-  options.steal_batch = 8;
 
   const double peak = ctx.DrawDouble("peak_rate_qps", 50.0, 90.0);
   DiurnalTraffic traffic = DiurnalTraffic::QaDayShape(
@@ -477,12 +475,12 @@ void ShardedChaos(ScenarioContext& ctx) {
 }
 
 /// The whole concurrency surface in one four-domain run: cross-query
-/// batching, work stealing, rebalance donation, speed skew and fail-stops
-/// together — the widest lock-interleaving scenario in the fleet. Added as
-/// a moving target for the lock-order validator: Debug/sanitizer builds
-/// validate every blocking Mutex::Lock in this tangle against the rank
-/// table (src/common/lock_order.h), so any future cross-domain locking
-/// shortcut that could deadlock dies here first.
+/// batching, speed skew and fail-stops together — the widest
+/// lock-interleaving scenario in the fleet. Added as a moving target for
+/// the lock-order validator: Debug/sanitizer builds validate every
+/// blocking Mutex::Lock in this tangle against the rank table
+/// (src/common/lock_order.h), so any future cross-domain locking shortcut
+/// that could deadlock dies here first.
 void FourDomainGauntlet(ScenarioContext& ctx) {
   const uint64_t task_seed = ctx.DrawSeed("task_seed");
   const SyntheticTask base_task = MakeTextMatchingTask(task_seed);
@@ -510,9 +508,8 @@ void FourDomainGauntlet(ScenarioContext& ctx) {
   options.speedup = kSpeedup;
   options.seed = ctx.DrawSeed("server_seed");
   options.batching = true;
-  // Tiny queues keep the dispatch/steal/donate paths under pressure.
+  // Tiny queues keep the dispatch path under pressure.
   options.queue_capacity = ctx.DrawInt("queue_capacity", 8, 32);
-  options.steal_batch = ctx.DrawInt("steal_batch", 4, 12);
 
   // Original fans every query to every model; the rate band reproduces
   // BatchedCoalescing's proven per-executor overload (4-7 qps/executor on
@@ -555,9 +552,8 @@ void FourDomainGauntlet(ScenarioContext& ctx) {
   ctx.Event("trace queries = " + std::to_string(trace.size()));
 
   // Asymmetric deployment: two Original domains (fan-out keeps their
-  // queues deep, guaranteeing coalescing and steal pressure) and two
-  // Schemble domains (the planning path that buffers queries, the only
-  // source of rebalance donations). The Schemble policies are built
+  // queues deep, guaranteeing coalescing) and two Schemble domains (the
+  // planning path that buffers queries). The Schemble policies are built
   // against the batched-profile task so runtime pricing matches what the
   // server deploys.
   const OracleBundle bundle(task_seed);
@@ -581,15 +577,11 @@ void FourDomainGauntlet(ScenarioContext& ctx) {
   ctx.ExpectTrue(sched.failstops <= failstops_injected,
                  "failstops bounded by injected faults");
   // Deterministic structural assertions only: the overload makes
-  // coalescing certain in the Original domains, but steal and donation
+  // coalescing certain in the Original domains, but requeue and batch
   // VOLUMES are contention-shaped, so they are reported, not asserted.
   ctx.ExpectGe(sched.batches_executed, 1, "batched executions under backlog");
-  ctx.Note("steals = " + std::to_string(sched.steals) +
-           " (stolen " + std::to_string(sched.stolen) + "), rebalances = " +
-           std::to_string(sched.rebalances) + " (donated " +
-           std::to_string(sched.donated) + "), requeues = " +
-           std::to_string(sched.requeues) + ", batches = " +
-           std::to_string(sched.batches_executed));
+  ctx.Note("requeues = " + std::to_string(sched.requeues) +
+           ", batches = " + std::to_string(sched.batches_executed));
 }
 
 /// The sharded arrival pipeline under deliberately skewed pump ownership:
@@ -615,7 +607,6 @@ void SkewedArrivalPumps(ScenarioContext& ctx) {
   // Tiny inboxes: the non-blocking batch push runs out of space and the
   // pumps exercise the blocking fallback on most cycles.
   options.inbox_capacity = ctx.DrawInt("inbox_capacity", 8, 32);
-  options.steal_batch = 8;
   options.num_arrival_threads = 2;
   options.arrival_pump_weights = {4, 1};
 
@@ -687,8 +678,8 @@ void RegisterBuiltinScenarios() {
                      "every query",
                      &BatchedCoalescing});
   registry.Register({"four-domain-gauntlet",
-                     "four domains with batching, stealing, donation, "
-                     "speed skew and fail-stops at once; the widest "
+                     "four domains with batching, speed skew and "
+                     "fail-stops at once; the widest "
                      "lock-interleaving target for the lock-order "
                      "validator",
                      &FourDomainGauntlet});

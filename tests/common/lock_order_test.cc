@@ -131,21 +131,6 @@ TEST(HeldLockStackTest, LockAndUnlockTrackDepth) {
   EXPECT_EQ(HeldLockCount(), 0);
 }
 
-TEST(HeldLockStackTest, TryLockJoinsTheHeldStack) {
-  // TryLock is order-EXEMPT but its lock still joins the held set: blocking
-  // acquisitions made under it must be validated like any other.
-  Mutex mu{LockRank::kDomain, "heldstack.trylock"};
-  // Plain if/else (not ASSERT_TRUE) so the clang try-acquire analysis can
-  // see the success branch.
-  if (mu.TryLock()) {
-    EXPECT_EQ(HeldLockCount(), 1);
-    mu.Unlock();
-  } else {
-    ADD_FAILURE() << "uncontended TryLock failed";
-  }
-  EXPECT_EQ(HeldLockCount(), 0);
-}
-
 TEST(HeldLockStackTest, NestedAcquisitionsStack) {
   Mutex outer{LockRank::kDomain, "heldstack.outer"};
   Mutex inner{LockRank::kDone, "heldstack.inner"};

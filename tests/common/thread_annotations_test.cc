@@ -1,5 +1,5 @@
 // Functional tests for the annotated lock primitives
-// (common/thread_annotations.h): Mutex owner tracking, TryLock, MutexLock
+// (common/thread_annotations.h): Mutex owner tracking, MutexLock
 // Release/Acquire, CondVar hand-off, and opt-in contention statistics. The
 // deliberate-violation death tests live in
 // tests/runtime/lock_discipline_test.cc.
@@ -22,28 +22,6 @@ TEST(MutexTest, LockUnlockTracksOwnership) {
   EXPECT_TRUE(mu.HeldByCurrentThread());
   mu.Unlock();
   EXPECT_FALSE(mu.HeldByCurrentThread());
-}
-
-TEST(MutexTest, TryLockAcquiresWhenFree) {
-  Mutex mu{LockRank::kLeaf, "test.mu"};
-  ASSERT_TRUE(mu.TryLock());
-  EXPECT_TRUE(mu.HeldByCurrentThread());
-  mu.Unlock();
-}
-
-TEST(MutexTest, TryLockFailsFromAnotherThreadWhileHeld) {
-  Mutex mu{LockRank::kLeaf, "test.mu"};
-  mu.Lock();
-  std::thread other([&mu] {
-    EXPECT_FALSE(mu.HeldByCurrentThread());
-    if (mu.TryLock()) {
-      ADD_FAILURE() << "TryLock succeeded while another thread held the lock";
-      mu.Unlock();
-    }
-  });
-  other.join();
-  EXPECT_TRUE(mu.HeldByCurrentThread());
-  mu.Unlock();
 }
 
 TEST(MutexTest, AssertHeldPassesWhileHolding) {

@@ -56,42 +56,6 @@ TEST(LockOrderValidatorDeathTest, SameRankNestingDies) {
       "same-rank.*validator.leaf_a");
 }
 
-TEST(LockOrderValidatorTest, TryLockIsOrderExempt) {
-  // The work-stealing pattern: holding a higher rank, PROBE a lower one
-  // with TryLock. A try-acquire can never deadlock, so no violation.
-  Mutex done_mu{LockRank::kDone, "validator.exempt_done"};
-  Mutex domain_mu{LockRank::kDomain, "validator.exempt_domain"};
-  MutexLock done_lock(&done_mu);
-  // Plain if/else (not ASSERT_TRUE) so the clang try-acquire analysis can
-  // see the success branch.
-  if (domain_mu.TryLock()) {
-    domain_mu.Unlock();
-  } else {
-    ADD_FAILURE() << "uncontended TryLock failed";
-  }
-}
-
-TEST(LockOrderValidatorDeathTest, BlockingUnderTryLockedMutexIsValidated) {
-  // TryLock is exempt from the ordering, but the lock it takes still joins
-  // the held stack: a BLOCKING acquisition under it is validated like any
-  // other. Here the try-held kDone lock makes the blocking kDomain
-  // acquisition an inversion (order seeded in the parent).
-  Mutex domain_mu{LockRank::kDomain, "validator.under_try_domain"};
-  Mutex done_mu{LockRank::kDone, "validator.under_try_done"};
-  {
-    MutexLock domain_lock(&domain_mu);
-    MutexLock done_lock(&done_mu);
-  }
-  EXPECT_DEATH(
-      {
-        if (done_mu.TryLock()) {
-          MutexLock domain_lock(&domain_mu);  // the validator fires here
-          done_mu.Unlock();
-        }
-      },
-      "lock-order inversion.*validator.under_try_domain");
-}
-
 TEST(LockOrderValidatorTest, RankOrderedNestingIsClean) {
   // The full legal chain in one thread: strictly increasing ranks never
   // trip the validator, whatever order the edges were first witnessed in.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -201,113 +200,6 @@ TEST(MpmcQueueTest, PushAllUnblocksBlockedBatchConsumers) {
   queue.Close();
   for (std::thread& t : consumers) t.join();
   EXPECT_EQ(consumed.load(), 30);
-}
-
-TEST(MpmcQueueTest, StealNFromEmptyQueueReturnsZero) {
-  MpmcQueue<int> queue(4);
-  std::vector<int> out;
-  EXPECT_EQ(queue.StealN(&out, 8), 0u);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(MpmcQueueTest, StealNTakesFifoPrefixAndLeavesRemainder) {
-  MpmcQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.Push(i));
-  std::vector<int> out{-1};  // StealN appends; existing content survives
-  EXPECT_EQ(queue.StealN(&out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{-1, 0, 1, 2}));
-  // The victim still pops the untouched tail in order.
-  EXPECT_EQ(queue.Pop(), 3);
-  EXPECT_EQ(queue.Pop(), 4);
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(MpmcQueueTest, StealNDrainsAfterClose) {
-  // A thief must be able to rescue queries stranded in a closed inbox:
-  // Close() stops pushes, not steals.
-  MpmcQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  queue.Close();
-  std::vector<int> out;
-  EXPECT_EQ(queue.StealN(&out, 8), 2u);  // partial: fewer than asked
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  EXPECT_EQ(queue.StealN(&out, 8), 0u);  // closed and drained
-}
-
-TEST(MpmcQueueTest, StealNUnblocksFullProducer) {
-  MpmcQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(queue.Push(2));  // blocks: queue full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(pushed.load());
-  std::vector<int> out;
-  while (queue.StealN(&out, 1) == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(out, (std::vector<int>{1}));
-  EXPECT_EQ(queue.Pop(), 2);
-}
-
-TEST(MpmcQueueTest, StealNConservesItemsUnderContention) {
-  // Batched producers race a popping consumer and a stealing thief; every
-  // item must come out exactly once across the two drains.
-  constexpr int kProducers = 2;
-  constexpr int kPerProducer = 3000;
-  MpmcQueue<int> queue(16);
-  std::atomic<int64_t> popped_sum{0};
-  std::atomic<int64_t> popped_count{0};
-  int64_t stolen_sum = 0;
-  int64_t stolen_count = 0;
-
-  std::thread consumer([&] {
-    std::vector<int> batch;
-    while (queue.PopN(&batch, 4) > 0) {
-      for (int v : batch) popped_sum.fetch_add(v);
-      popped_count.fetch_add(static_cast<int64_t>(batch.size()));
-      batch.clear();
-    }
-  });
-  std::thread thief([&] {
-    // Steal (including the post-Close drain race) until the queue is
-    // closed AND a final steal comes back empty.
-    std::vector<int> loot;
-    while (true) {
-      loot.clear();
-      const size_t got = queue.StealN(&loot, 3);
-      for (int v : loot) stolen_sum += v;
-      stolen_count += static_cast<int64_t>(got);
-      if (got == 0 && queue.closed()) break;
-      if (got == 0) std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<int> items(kPerProducer);
-      std::iota(items.begin(), items.end(), p * kPerProducer);
-      size_t sent = 0;
-      while (sent < items.size()) {
-        sent += queue.PushAll(
-            std::span<const int>(items.data() + sent,
-                                 std::min<size_t>(64, items.size() - sent)));
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  queue.Close();
-  thief.join();
-  consumer.join();
-
-  const int64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(popped_count.load() + stolen_count, n);
-  EXPECT_EQ(popped_sum.load() + stolen_sum, n * (n - 1) / 2);
 }
 
 TEST(MpmcQueueTest, ManyProducersManyConsumersPreserveItems) {

@@ -32,7 +32,6 @@ class BlockingOkFixture {
     queue_.TryPush(3);
     queue_.TryPop();
     queue_.TryPopN(&drain_, 4);
-    queue_.StealN(&drain_, 4);
   }
 
  private:

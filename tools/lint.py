@@ -36,16 +36,16 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         under the domain mutex. Planning goes through the
                         const PlanOnView / CreatePlanState path, off-lock.
 
-  domain-crossing       Inside src/runtime/, calls into another scheduler
-                        domain's inbox surface (.PushRouted /
-                        .TryPushRoutedAll / .StealRouted on an object)
-                        must carry a `// crosses(domain)` marker on the
-                        same or the preceding line. Domains may interact
-                        ONLY through these inbox entry points and published
-                        load atomics, never through a peer's mutex; the
-                        marker makes every crossing grep-able and forces
-                        new cross-domain traffic through an audited
-                        surface.
+  domain-crossing       Inside src/runtime/, calls into a scheduler domain's
+                        inbox surface (.PushRouted / .TryPushRoutedAll on
+                        an object) must carry a `// crosses(domain)`
+                        marker on the same or the preceding line. The
+                        arrival pumps are the only code that calls into a
+                        domain from outside, through these inbox entry
+                        points and the published load atomics, never
+                        through a domain's mutex; the marker makes every
+                        crossing grep-able and forces any new cross-domain
+                        traffic through an audited surface.
 
   arrival-pump          Inside src/runtime/, the body of any ArrivalPump*
                         function may only use the domain inbox surface and
@@ -189,8 +189,7 @@ SERIALIZED_OK_RE = re.compile(r"//\s*serialized\(mu_\)")
 # Calls on an object (not declarations/definitions, which use `::` or a
 # bare name) into a scheduler domain's cross-domain inbox surface.
 DOMAIN_CROSSING_RE = re.compile(
-    r"(->|\.)\s*(PushRouted|TryPushRoutedAll|StealRouted)"
-    r"\s*\(")
+    r"(->|\.)\s*(PushRouted|TryPushRoutedAll)\s*\(")
 
 CROSSES_OK_RE = re.compile(r"//\s*crosses\(domain\)")
 
@@ -246,8 +245,7 @@ STRESS_RNG_RE = re.compile(
 
 # Calls that can block the calling thread: queue operations that wait for
 # space/items, clock sleeps, and CV waits. Try* variants deliberately do
-# not match (the [.>] anchor sits right before the name). StealN is
-# TryLock-based and never blocks.
+# not match (the [.>] anchor sits right before the name).
 BLOCKING_CALL_RE = re.compile(
     r"[.>](PushAll|Push|PopN|Pop|CloseAndDrain|SleepUntil)\s*\(|"
     r"\bsleep_for\s*\(|\bsleep_until\s*\(")
