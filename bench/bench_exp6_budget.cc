@@ -36,7 +36,7 @@ double Accuracy(const SyntheticTask& task, const std::vector<Query>& data,
     if (assignment[i] == 0) continue;  // unserved -> incorrect
     const auto out = task.AggregateSubset(data[i],
                                           SubsetModels(assignment[i]));
-    acc += task.MatchScore(out, data[i].ensemble_output);
+    acc += task.MatchScore(out, data[i].ensemble_output());
   }
   return acc / static_cast<double>(data.size());
 }

@@ -89,7 +89,7 @@ void Fig20b() {
     aggregator.value().AggregateBatch(test, 0b110, &ws, &outs);
     double acc = 0.0;
     for (size_t i = 0; i < test.size(); ++i) {
-      acc += task.MatchScore(outs[i], test[i].ensemble_output);
+      acc += task.MatchScore(outs[i], test[i].ensemble_output());
     }
     table.AddRow({std::to_string(k), Pct(acc / test.size())});
   }

@@ -46,7 +46,7 @@ void Fig1b(const SyntheticTask& task) {
   TextTable table({"Model", "Accuracy%", "Latency (ms)"});
   for (int k = 0; k < task.num_models(); ++k) {
     double acc = 0.0;
-    for (const Query& q : data) acc += task.TrueScore(q.model_outputs[k], q);
+    for (const Query& q : data) acc += task.TrueScore(q.model_output(k), q);
     table.AddRow({task.profile(k).name,
                   Pct(acc / static_cast<double>(data.size())),
                   TextTable::Num(
@@ -58,7 +58,7 @@ void Fig1b(const SyntheticTask& task) {
     slowest = std::max(slowest, task.profile(k).latency_us);
   }
   for (const Query& q : data) {
-    ensemble_acc += task.TrueScore(q.ensemble_output, q);
+    ensemble_acc += task.TrueScore(q.ensemble_output(), q);
   }
   table.AddRow({"Ensemble", Pct(ensemble_acc / data.size()),
                 TextTable::Num(SimTimeToMillis(slowest) + 2.0, 0)});

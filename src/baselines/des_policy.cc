@@ -17,7 +17,9 @@ Result<DesPolicy> DesPolicy::Train(const SyntheticTask& task,
   }
   std::vector<std::vector<double>> features;
   features.reserve(history.size());
-  for (const Query& q : history) features.push_back(q.features);
+  for (const Query& q : history) {
+    features.emplace_back(q.features().begin(), q.features().end());
+  }
   Rng rng(HashSeed("des-train", config.seed));
   KMeans::Options km_options;
   km_options.clusters = config.clusters;
@@ -30,11 +32,11 @@ Result<DesPolicy> DesPolicy::Train(const SyntheticTask& task,
                                         std::vector<double>(m, 0.0));
   std::vector<int64_t> counts(clusters, 0);
   for (const Query& q : history) {
-    const int cluster = kmeans.value().Assign(q.features);
+    const int cluster = kmeans.value().Assign(q.features());
     ++counts[cluster];
     for (int k = 0; k < m; ++k) {
       sums[cluster][k] +=
-          task.MatchScore(q.model_outputs[k], q.ensemble_output);
+          task.MatchScore(q.model_output(k), q.ensemble_output());
     }
   }
   // Global competences back empty clusters.
@@ -58,7 +60,7 @@ Result<DesPolicy> DesPolicy::Train(const SyntheticTask& task,
 }
 
 SubsetMask DesPolicy::SelectSubset(const Query& query) const {
-  const int cluster = kmeans_.Assign(query.features);
+  const int cluster = kmeans_.Assign(query.features());
   const std::vector<double>& scores = competence_[cluster];
   const double best = *std::max_element(scores.begin(), scores.end());
   SubsetMask subset = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
 #include "common/prob.h"
@@ -32,21 +33,23 @@ Result<GatingPolicy> GatingPolicy::Train(const SyntheticTask& task,
   for (const Query& q : history) {
     std::vector<double> target;
     if (classification) {
-      const int label = Argmax(q.ensemble_output);
+      const int label = Argmax(q.ensemble_output());
       target.reserve(m);
       for (int k = 0; k < m; ++k) {
-        target.push_back(std::max(q.model_outputs[k][label], 1e-9));
+        target.push_back(std::max(q.model_output(k)[label], 1e-9));
       }
     } else {
       target.reserve(m * dim + dim);
       for (int k = 0; k < m; ++k) {
-        target.insert(target.end(), q.model_outputs[k].begin(),
-                      q.model_outputs[k].end());
+        const std::span<const double> mo = q.model_output(k);
+        target.insert(target.end(), mo.begin(), mo.end());
       }
-      target.insert(target.end(), q.ensemble_output.begin(),
-                    q.ensemble_output.end());
+      const std::span<const double> ensemble = q.ensemble_output();
+      target.insert(target.end(), ensemble.begin(), ensemble.end());
     }
-    examples.push_back({q.features, std::move(target)});
+    const std::span<const double> features = q.features();
+    examples.push_back({std::vector<double>(features.begin(), features.end()),
+                        std::move(target)});
   }
 
   // Loss over gate logits g: w = softmax(g); classification minimizes
@@ -90,7 +93,7 @@ Result<GatingPolicy> GatingPolicy::Train(const SyntheticTask& task,
 }
 
 std::vector<double> GatingPolicy::GateWeights(const Query& query) const {
-  return Softmax(gate_->Forward(query.features));
+  return Softmax(gate_->Forward(query.features()));
 }
 
 SubsetMask GatingPolicy::SelectSubset(

@@ -11,7 +11,7 @@ namespace {
 constexpr double kEps = 1e-12;
 }  // namespace
 
-void SoftmaxInPlace(std::vector<double>& logits) {
+void SoftmaxInPlace(std::span<double> logits) {
   SCHEMBLE_CHECK(!logits.empty());
   const double max_logit = *std::max_element(logits.begin(), logits.end());
   double sum = 0.0;
@@ -22,16 +22,16 @@ void SoftmaxInPlace(std::vector<double>& logits) {
   for (double& v : logits) v /= sum;
 }
 
-std::vector<double> Softmax(const std::vector<double>& logits) {
-  std::vector<double> out = logits;
+std::vector<double> Softmax(std::span<const double> logits) {
+  std::vector<double> out(logits.begin(), logits.end());
   SoftmaxInPlace(out);
   return out;
 }
 
-std::vector<double> SoftmaxWithTemperature(const std::vector<double>& logits,
+std::vector<double> SoftmaxWithTemperature(std::span<const double> logits,
                                            double temperature) {
   SCHEMBLE_CHECK_GT(temperature, 0.0);
-  std::vector<double> out = logits;
+  std::vector<double> out(logits.begin(), logits.end());
   for (double& v : out) v /= temperature;
   SoftmaxInPlace(out);
   return out;
@@ -52,7 +52,7 @@ void NormalizeInPlace(std::vector<double>& p) {
   for (double& v : p) v /= sum;
 }
 
-double Entropy(const std::vector<double>& p) {
+double Entropy(std::span<const double> p) {
   double h = 0.0;
   for (double v : p) {
     if (v > kEps) h -= v * std::log(v);
@@ -60,8 +60,8 @@ double Entropy(const std::vector<double>& p) {
   return h;
 }
 
-double KlDivergence(const std::vector<double>& p,
-                    const std::vector<double>& q) {
+double KlDivergence(std::span<const double> p,
+                    std::span<const double> q) {
   SCHEMBLE_CHECK_EQ(p.size(), q.size());
   double d = 0.0;
   for (size_t i = 0; i < p.size(); ++i) {
@@ -72,21 +72,21 @@ double KlDivergence(const std::vector<double>& p,
   return std::max(d, 0.0);
 }
 
-double SymmetricKlDivergence(const std::vector<double>& p,
-                             const std::vector<double>& q) {
+double SymmetricKlDivergence(std::span<const double> p,
+                             std::span<const double> q) {
   return KlDivergence(p, q) + KlDivergence(q, p);
 }
 
-double JsDivergence(const std::vector<double>& p,
-                    const std::vector<double>& q) {
+double JsDivergence(std::span<const double> p,
+                    std::span<const double> q) {
   SCHEMBLE_CHECK_EQ(p.size(), q.size());
   std::vector<double> mid(p.size());
   for (size_t i = 0; i < p.size(); ++i) mid[i] = 0.5 * (p[i] + q[i]);
   return 0.5 * KlDivergence(p, mid) + 0.5 * KlDivergence(q, mid);
 }
 
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
+double EuclideanDistance(std::span<const double> a,
+                         std::span<const double> b) {
   SCHEMBLE_CHECK_EQ(a.size(), b.size());
   double sq = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -96,7 +96,7 @@ double EuclideanDistance(const std::vector<double>& a,
   return std::sqrt(sq);
 }
 
-int Argmax(const std::vector<double>& v) {
+int Argmax(std::span<const double> v) {
   SCHEMBLE_CHECK(!v.empty());
   return static_cast<int>(
       std::max_element(v.begin(), v.end()) - v.begin());

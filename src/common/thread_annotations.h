@@ -192,7 +192,7 @@ class SCHEMBLE_CAPABILITY("mutex") Mutex {
   /// genuinely does not hold the lock, and the re-acquisition on wakeup
   /// re-joins the stack without re-validating (its rank edge was recorded
   /// by the original Lock).
-  void MarkAcquired(const std::source_location& loc) {
+  void MarkAcquired([[maybe_unused]] const std::source_location& loc) {
     owner_.store(std::this_thread::get_id(), std::memory_order_release);
 #if SCHEMBLE_LOCK_ORDER_CHECKS
     lock_order::NoteAcquired(this, rank_, name_, loc);

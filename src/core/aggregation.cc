@@ -1,6 +1,7 @@
 #include "core/aggregation.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/prob.h"
@@ -11,8 +12,8 @@ std::vector<double> Aggregator::ConcatOutputs(const Query& query) const {
   std::vector<double> concat;
   concat.reserve(task_->num_models() * task_->output_dim());
   for (int k = 0; k < task_->num_models(); ++k) {
-    concat.insert(concat.end(), query.model_outputs[k].begin(),
-                  query.model_outputs[k].end());
+    const std::span<const double> mo = query.model_output(k);
+    concat.insert(concat.end(), mo.begin(), mo.end());
   }
   return concat;
 }
@@ -66,7 +67,7 @@ Result<Aggregator> Aggregator::Build(const SyntheticTask& task,
   labels.reserve(history.size());
   for (const Query& q : history) {
     inputs.push_back(agg.ConcatOutputs(q));
-    labels.push_back(Argmax(q.ensemble_output));
+    labels.push_back(Argmax(q.ensemble_output()));
   }
   agg.meta_ = std::make_unique<SoftmaxRegression>(
       task.num_models() * task.output_dim(), task.output_dim(), config.seed);
@@ -85,7 +86,7 @@ void Aggregator::VoteInto(const Query& query, SubsetMask executed,
   const std::vector<double>& weights = task_->ensemble_weights();
   for (int k = 0; k < task_->num_models(); ++k) {
     if (!(executed & (SubsetMask{1} << k))) continue;
-    (*out)[Argmax(query.model_outputs[k])] += weights[k];
+    (*out)[Argmax(query.model_output(k))] += weights[k];
   }
   NormalizeInPlace(*out);
 }
@@ -105,8 +106,9 @@ void Aggregator::BuildStackInput(const Query& query, SubsetMask executed,
   ws->mask.assign(total, false);
   for (int k = 0; k < task_->num_models(); ++k) {
     if (!(executed & (SubsetMask{1} << k))) continue;
+    const std::span<const double> mo = query.model_output(k);
     for (int d = 0; d < dim; ++d) {
-      (*concat)[k * dim + d] = query.model_outputs[k][d];
+      (*concat)[k * dim + d] = mo[d];
       ws->mask[k * dim + d] = true;
     }
   }

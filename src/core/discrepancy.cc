@@ -8,24 +8,17 @@
 
 namespace schemble {
 
-std::vector<double> DiscrepancyScorer::CalibratedOutput(const Query& query,
-                                                        int model) const {
-  if (task_->spec().type != TaskType::kClassification) {
-    return query.model_outputs[model];
-  }
-  if (!config_.calibrate) {
-    // Uncalibrated view: plain softmax of the raw logits.
-    return Softmax(query.model_logits[model]);
-  }
-  return scalers_[model].Calibrate(query.model_logits[model]);
-}
-
 double DiscrepancyScorer::ModelDistance(const Query& query, int model) const {
-  const std::vector<double> output = CalibratedOutput(query, model);
-  if (task_->spec().type == TaskType::kClassification) {
-    return JsDivergence(output, query.ensemble_output);
+  if (task_->spec().type != TaskType::kClassification) {
+    return EuclideanDistance(query.model_output(model),
+                             query.ensemble_output());
   }
-  return EuclideanDistance(output, query.ensemble_output);
+  // Calibrated probabilities, or (ablation) a plain softmax of the raw
+  // logits.
+  const std::vector<double> output =
+      config_.calibrate ? scalers_[model].Calibrate(query.model_logits(model))
+                        : Softmax(query.model_logits(model));
+  return JsDivergence(output, query.ensemble_output());
 }
 
 double DiscrepancyScorer::RawScore(const Query& query) const {
@@ -38,11 +31,11 @@ double DiscrepancyScorer::RawScore(const Query& query) const {
     for (int a = 0; a < m; ++a) {
       for (int b = a + 1; b < m; ++b) {
         if (task_->spec().type == TaskType::kClassification) {
-          total += SymmetricKlDivergence(Softmax(query.model_logits[a]),
-                                         Softmax(query.model_logits[b]));
+          total += SymmetricKlDivergence(Softmax(query.model_logits(a)),
+                                         Softmax(query.model_logits(b)));
         } else {
-          total += EuclideanDistance(query.model_outputs[a],
-                                     query.model_outputs[b]);
+          total += EuclideanDistance(query.model_output(a),
+                                     query.model_output(b));
         }
         ++pairs;
       }
@@ -84,8 +77,9 @@ Result<DiscrepancyScorer> DiscrepancyScorer::Fit(
       logits.reserve(history.size());
       labels.reserve(history.size());
       for (const Query& q : history) {
-        logits.push_back(q.model_logits[k]);
-        labels.push_back(Argmax(q.ensemble_output));
+        logits.emplace_back(q.model_logits(k).begin(),
+                            q.model_logits(k).end());
+        labels.push_back(Argmax(q.ensemble_output()));
       }
       auto fitted = TemperatureScaler::Fit(logits, labels);
       if (!fitted.ok()) return fitted.status();

@@ -63,7 +63,6 @@ class DiscrepancyScorer {
       : task_(task), config_(config) {}
 
   double RawScore(const Query& query) const;
-  std::vector<double> CalibratedOutput(const Query& query, int model) const;
 
   const SyntheticTask* task_;  // not owned; must outlive the scorer
   DiscrepancyConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
 #include "common/prob.h"
@@ -37,12 +38,14 @@ Result<DiscrepancyPredictor> DiscrepancyPredictor::Train(
     std::vector<double> target;
     target.reserve(out_dim);
     if (task.spec().type == TaskType::kRegression) {
-      target.push_back(history[i].ensemble_output[0] / value_scale);
+      target.push_back(history[i].ensemble_output()[0] / value_scale);
     } else {
-      for (double v : history[i].ensemble_output) target.push_back(v);
+      for (double v : history[i].ensemble_output()) target.push_back(v);
     }
     target.push_back(scores[i]);
-    examples.push_back({history[i].features, std::move(target)});
+    const std::span<const double> features = history[i].features();
+    examples.push_back({std::vector<double>(features.begin(), features.end()),
+                        std::move(target)});
   }
 
   // Eq. 2: l(label, output1) + lambda * MSE(dis, output2).
@@ -91,12 +94,12 @@ double DiscrepancyPredictor::Predict(const Query& query) const {
   // this directly shrinks time under the lock.
   thread_local MlpInferenceScratch scratch;
   thread_local std::vector<double> out;
-  mlp_->ForwardInto(query.features, &scratch, &out);
+  mlp_->ForwardInto(query.features(), &scratch, &out);
   return std::clamp(out[task_head_dim()], 0.0, 1.0);
 }
 
 std::vector<double> DiscrepancyPredictor::TaskHead(const Query& query) const {
-  std::vector<double> out = mlp_->Forward(query.features);
+  std::vector<double> out = mlp_->Forward(query.features());
   out.resize(task_head_dim());
   if (task_->spec().type == TaskType::kClassification) {
     SoftmaxInPlace(out);

@@ -73,7 +73,7 @@ Result<AccuracyProfile> AccuracyProfile::Build(
       if (SubsetSize(mask) > max_size && mask != full) continue;
       SubsetModelsInto(mask, &subset);
       task.AggregateSubsetInto(q, subset, &produced);
-      const double match = task.MatchScore(produced, q.ensemble_output);
+      const double match = task.MatchScore(produced, q.ensemble_output());
       sums[bin][mask] += match;
       global_sums[mask] += match;
     }

@@ -1,7 +1,9 @@
 #include "models/synthetic_task.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/prob.h"
@@ -16,7 +18,40 @@ namespace {
 /// rather than independent noise.
 constexpr double kSharedConfusionProb = 0.6;
 
+/// Weighted average of the outputs of `model_indices` into `out` (zeroed
+/// here): the one reference-aggregation loop behind AggregateSubsetInto and
+/// each generated query's ensemble output.
+void WeightedAverageInto(const Query& query,
+                         std::span<const int> model_indices,
+                         const std::vector<double>& weights,
+                         std::span<double> out) {
+  SCHEMBLE_CHECK(!model_indices.empty());
+  double total_weight = 0.0;
+  std::fill(out.begin(), out.end(), 0.0);
+  for (int k : model_indices) {
+    SCHEMBLE_CHECK_GE(k, 0);
+    SCHEMBLE_CHECK_LT(k, query.num_models());
+    const std::span<const double> mo = query.model_output(k);
+    SCHEMBLE_CHECK_EQ(mo.size(), out.size());
+    kernels::Axpy(weights[k], mo.data(), out.data(),
+                  static_cast<int>(out.size()));
+    total_weight += weights[k];
+  }
+  for (double& v : out) v /= total_weight;
+}
+
 }  // namespace
+
+Query::Query(int feature_dim, int num_models, int output_dim, bool has_logits)
+    : feature_dim_(static_cast<uint16_t>(feature_dim)),
+      output_dim_(static_cast<uint16_t>(output_dim)),
+      num_models_(static_cast<uint8_t>(num_models)),
+      has_logits_(has_logits) {
+  SCHEMBLE_CHECK(feature_dim >= 0 && feature_dim <= UINT16_MAX);
+  SCHEMBLE_CHECK(output_dim >= 0 && output_dim <= UINT16_MAX);
+  SCHEMBLE_CHECK(num_models >= 0 && num_models <= UINT8_MAX);
+  payload_.assign(EnsembleOffset() + output_dim_, 0.0);
+}
 
 double DifficultyDistribution::Sample(Rng& rng) const {
   double h = mean;
@@ -104,7 +139,8 @@ int SyntheticTask::output_dim() const {
 }
 
 Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
-  Query q;
+  Query q(spec_.feature_dim(), num_models(), output_dim(),
+          spec_.type == TaskType::kClassification);
   q.id = id;
   q.difficulty = std::clamp(difficulty, 0.0, 1.0);
   Rng rng(HashSeed("query", seed_ ^ (static_cast<uint64_t>(id) *
@@ -127,7 +163,8 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
   }
 
   // Features: label block, difficulty block, noise block.
-  q.features.reserve(spec_.feature_dim());
+  const std::span<double> features = q.mutable_features();
+  int f = 0;
   const std::vector<double>& center =
       class_centers_[spec_.type == TaskType::kClassification ? q.true_label
                                                              : 0];
@@ -136,14 +173,13 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
     if (spec_.type == TaskType::kRegression) {
       base = (q.true_value / spec_.value_scale) * center[j];
     }
-    q.features.push_back(base + rng.Normal(0.0, spec_.feature_noise));
+    features[f++] = base + rng.Normal(0.0, spec_.feature_noise);
   }
   for (int j = 0; j < spec_.difficulty_dims; ++j) {
-    q.features.push_back(q.difficulty +
-                         rng.Normal(0.0, 0.35 * spec_.feature_noise));
+    features[f++] = q.difficulty + rng.Normal(0.0, 0.35 * spec_.feature_noise);
   }
   for (int j = 0; j < spec_.noise_dims; ++j) {
-    q.features.push_back(rng.Normal(0.0, 1.0));
+    features[f++] = rng.Normal(0.0, 1.0);
   }
 
   // Shared error structure across models (drawn from the query stream so
@@ -169,9 +205,7 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
     }
   }
 
-  // Per-model outputs from per-model seed streams.
-  q.model_outputs.resize(profiles_.size());
-  q.model_logits.resize(profiles_.size());
+  // Per-model outputs from per-model seed streams, written in place.
   for (size_t k = 0; k < profiles_.size(); ++k) {
     const ModelProfile& profile = profiles_[k];
     Rng model_rng(HashSeed(
@@ -179,7 +213,7 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
         profile.seed ^ (static_cast<uint64_t>(id) * 0xbf58476d1ce4e5b9ull)));
     switch (spec_.type) {
       case TaskType::kClassification: {
-        std::vector<double> logits;
+        const std::span<double> logits = q.mutable_model_logits(k);
         // Shared confusion: with kSharedConfusionProb a wrong model picks
         // the query's confuser class.
         const double p_correct = profile.CorrectProbability(q.difficulty);
@@ -206,7 +240,6 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
         if (predicted != q.true_label) {
           gap *= 0.25 + 0.75 * q.difficulty;
         }
-        logits.assign(spec_.num_classes, 0.0);
         // Tail-logit jitter grows with difficulty: hard inputs produce
         // noisier, flatter output distributions (a continuous difficulty
         // signal on top of the discrete prediction flips). Overconfident
@@ -225,10 +258,11 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
         }
         logits[predicted] = gap + model_rng.Normal(0.0, 0.10);
         for (double& v : logits) v *= profile.overconfidence;
-        q.model_logits[k] = logits;
         // Calibrated output: softmax at the true temperature.
-        q.model_outputs[k] =
-            SoftmaxWithTemperature(logits, profile.overconfidence);
+        const std::span<double> probs = q.mutable_model_output(k);
+        std::copy(logits.begin(), logits.end(), probs.begin());
+        for (double& v : probs) v /= profile.overconfidence;
+        SoftmaxInPlace(probs);
         break;
       }
       case TaskType::kRegression: {
@@ -241,12 +275,12 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
         const double value = std::max(
             0.0, q.true_value + profile.regression_bias * (0.2 + h) + shared +
                      idio);
-        q.model_outputs[k] = {value};
+        q.mutable_model_output(k)[0] = value;
         break;
       }
       case TaskType::kRetrieval: {
         const double h = q.difficulty;
-        std::vector<double> scores(spec_.num_candidates, 0.0);
+        const std::span<double> scores = q.mutable_model_output(k);
         // Per-model ranking noise is substantial even on easy queries:
         // individual retrieval backbones order the tail of the candidate
         // list idiosyncratically, which is why ensembling retrieval models
@@ -260,16 +294,17 @@ Query SyntheticTask::GenerateQuery(int64_t id, double difficulty) const {
         for (int c : q.relevant) scores[c] += signal;
         // Hard queries push shared decoys up for every model.
         for (int c : shared_decoys) scores[c] += signal * 0.8 * h;
-        q.model_outputs[k] = std::move(scores);
         break;
       }
     }
   }
 
-  // Reference output of the full ensemble.
-  std::vector<int> all(profiles_.size());
-  for (size_t k = 0; k < all.size(); ++k) all[k] = static_cast<int>(k);
-  q.ensemble_output = AggregateSubset(q, all);
+  // Reference output of the full ensemble (the index list on the stack
+  // keeps the payload block the query's only allocation).
+  std::array<int, UINT8_MAX + 1> all;
+  const std::span<int> models(all.data(), profiles_.size());
+  std::iota(models.begin(), models.end(), 0);
+  WeightedAverageInto(q, models, weights_, q.mutable_ensemble_output());
   return q;
 }
 
@@ -295,23 +330,12 @@ std::vector<double> SyntheticTask::AggregateSubset(
 void SyntheticTask::AggregateSubsetInto(const Query& query,
                                         const std::vector<int>& model_indices,
                                         std::vector<double>* out) const {
-  SCHEMBLE_CHECK(!model_indices.empty());
-  double total_weight = 0.0;
-  out->assign(output_dim(), 0.0);
-  for (int k : model_indices) {
-    SCHEMBLE_CHECK_GE(k, 0);
-    SCHEMBLE_CHECK_LT(k, num_models());
-    const std::vector<double>& mo = query.model_outputs[k];
-    SCHEMBLE_CHECK_EQ(mo.size(), out->size());
-    kernels::Axpy(weights_[k], mo.data(), out->data(),
-                  static_cast<int>(out->size()));
-    total_weight += weights_[k];
-  }
-  for (double& v : *out) v /= total_weight;
+  out->resize(output_dim());
+  WeightedAverageInto(query, model_indices, weights_, *out);
 }
 
-double SyntheticTask::MatchScore(const std::vector<double>& produced,
-                                 const std::vector<double>& reference) const {
+double SyntheticTask::MatchScore(std::span<const double> produced,
+                                 std::span<const double> reference) const {
   switch (spec_.type) {
     case TaskType::kClassification:
       return Argmax(produced) == Argmax(reference) ? 1.0 : 0.0;
@@ -336,7 +360,7 @@ double SyntheticTask::MatchScore(const std::vector<double>& produced,
   return 0.0;
 }
 
-double SyntheticTask::TrueScore(const std::vector<double>& produced,
+double SyntheticTask::TrueScore(std::span<const double> produced,
                                 const Query& query) const {
   switch (spec_.type) {
     case TaskType::kClassification:
@@ -352,7 +376,7 @@ double SyntheticTask::TrueScore(const std::vector<double>& produced,
   return 0.0;
 }
 
-double AveragePrecision(const std::vector<double>& scores,
+double AveragePrecision(std::span<const double> scores,
                         const std::vector<int>& relevant) {
   SCHEMBLE_CHECK(!relevant.empty());
   std::vector<int> order(scores.size());

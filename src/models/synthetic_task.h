@@ -1,9 +1,12 @@
 #ifndef SCHEMBLE_MODELS_SYNTHETIC_TASK_H_
 #define SCHEMBLE_MODELS_SYNTHETIC_TASK_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "models/model_profile.h"
 
@@ -66,26 +69,86 @@ struct DifficultyDistribution {
 /// stored output, which makes simulation cheap and perfectly reproducible
 /// while preserving all the cross-model agreement structure Schemble
 /// exploits.
+///
+/// The payload lives in one contiguous block of doubles, one heap
+/// allocation per query, read in place through spans:
+///
+///   [features | output 0 .. output M-1 | logits 0 .. logits M-1 | ensemble]
+///
+/// (the logits only for classification). A trace holds one Query per
+/// arrival, so this layout is most of a serving run's memory.
 struct Query {
+  Query() = default;
+  /// A query with a zeroed payload block of the given shape.
+  Query(int feature_dim, int num_models, int output_dim, bool has_logits);
+
   int64_t id = 0;
   /// Latent difficulty in [0,1]; hidden from all serving-time components
   /// (only the oracle baselines may read it).
   double difficulty = 0.0;
-  /// Observable feature vector (input to predictors / DES / gating).
-  std::vector<double> features;
-  /// Classification ground truth (class index); unused otherwise.
-  int true_label = 0;
   /// Regression ground truth; unused otherwise.
   double true_value = 0.0;
   /// Retrieval ground truth: indices of truly relevant candidates.
   std::vector<int> relevant;
-  /// Per model: calibrated output vector (probabilities / {value} / scores).
-  std::vector<std::vector<double>> model_outputs;
-  /// Per model: raw (uncalibrated) logits; classification only, empty
-  /// otherwise. Feeds the temperature-scaling stage.
-  std::vector<std::vector<double>> model_logits;
+  /// Classification ground truth (class index); unused otherwise.
+  int true_label = 0;
+
+  /// Observable feature vector (input to predictors / DES / gating).
+  std::span<const double> features() const {
+    return {payload_.data(), feature_dim_};
+  }
+  /// Model k's calibrated output vector (probabilities / {value} / scores).
+  std::span<const double> model_output(int k) const {
+    return {payload_.data() + OutputOffset(k), output_dim_};
+  }
+  /// Model k's raw (uncalibrated) logits; classification only. Feeds the
+  /// temperature-scaling stage.
+  std::span<const double> model_logits(int k) const {
+    return {payload_.data() + LogitsOffset(k), output_dim_};
+  }
   /// Cached full-ensemble reference output (the paper's "ground truth").
-  std::vector<double> ensemble_output;
+  std::span<const double> ensemble_output() const {
+    return {payload_.data() + EnsembleOffset(), output_dim_};
+  }
+
+  int num_models() const { return num_models_; }
+  bool has_logits() const { return has_logits_; }
+  /// The whole payload block (every span above lies inside it).
+  std::span<const double> payload() const { return payload_; }
+
+  /// Writable views for the generator.
+  std::span<double> mutable_features() {
+    return {payload_.data(), feature_dim_};
+  }
+  std::span<double> mutable_model_output(int k) {
+    return {payload_.data() + OutputOffset(k), output_dim_};
+  }
+  std::span<double> mutable_model_logits(int k) {
+    return {payload_.data() + LogitsOffset(k), output_dim_};
+  }
+  std::span<double> mutable_ensemble_output() {
+    return {payload_.data() + EnsembleOffset(), output_dim_};
+  }
+
+ private:
+  size_t OutputOffset(int k) const {
+    SCHEMBLE_DCHECK(k >= 0 && k < num_models_);
+    return feature_dim_ + static_cast<size_t>(k) * output_dim_;
+  }
+  size_t LogitsOffset(int k) const {
+    SCHEMBLE_DCHECK(has_logits_);
+    return OutputOffset(k) + static_cast<size_t>(num_models_) * output_dim_;
+  }
+  size_t EnsembleOffset() const {
+    return feature_dim_ + static_cast<size_t>(num_models_) * output_dim_ *
+                              (has_logits_ ? 2 : 1);
+  }
+
+  std::vector<double> payload_;
+  uint16_t feature_dim_ = 0;
+  uint16_t output_dim_ = 0;
+  uint8_t num_models_ = 0;
+  bool has_logits_ = false;
 };
 
 /// Generator and scorer for one synthetic application: the base models, the
@@ -138,12 +201,12 @@ class SyntheticTask {
   /// Agreement of `produced` with `reference` on this task: 1/0 for
   /// classification (argmax match) and regression (within tolerance), and
   /// average precision in [0,1] for retrieval (the mAP column).
-  double MatchScore(const std::vector<double>& produced,
-                    const std::vector<double>& reference) const;
+  double MatchScore(std::span<const double> produced,
+                    std::span<const double> reference) const;
 
   /// Agreement of `produced` with the *true* label/value/relevance (used for
   /// reporting true accuracy rather than ensemble-relative accuracy).
-  double TrueScore(const std::vector<double>& produced,
+  double TrueScore(std::span<const double> produced,
                    const Query& query) const;
 
  private:
@@ -157,7 +220,7 @@ class SyntheticTask {
 };
 
 /// Average precision of ranking `scores` against the `relevant` index set.
-double AveragePrecision(const std::vector<double>& scores,
+double AveragePrecision(std::span<const double> scores,
                         const std::vector<int>& relevant);
 
 }  // namespace schemble

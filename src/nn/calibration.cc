@@ -78,7 +78,7 @@ Result<TemperatureScaler> TemperatureScaler::Fit(
 }
 
 std::vector<double> TemperatureScaler::Calibrate(
-    const std::vector<double>& logits) const {
+    std::span<const double> logits) const {
   return SoftmaxWithTemperature(logits, temperature_);
 }
 

@@ -1,6 +1,7 @@
 #ifndef SCHEMBLE_NN_CALIBRATION_H_
 #define SCHEMBLE_NN_CALIBRATION_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -26,7 +27,7 @@ class TemperatureScaler {
   double temperature() const { return temperature_; }
 
   /// Calibrated probability vector softmax(logits / T).
-  std::vector<double> Calibrate(const std::vector<double>& logits) const;
+  std::vector<double> Calibrate(std::span<const double> logits) const;
 
   /// Mean NLL of calibrated predictions, the objective Fit minimizes.
   static double MeanNll(const std::vector<std::vector<double>>& logits,

@@ -10,8 +10,8 @@ namespace schemble {
 
 namespace {
 
-double DistanceSquared(const std::vector<double>& a,
-                       const std::vector<double>& b) {
+double DistanceSquared(std::span<const double> a,
+                       std::span<const double> b) {
   return kernels::SquaredDistance(a.data(), b.data(),
                                   static_cast<int>(a.size()));
 }
@@ -103,7 +103,7 @@ Result<KMeans> KMeans::Fit(const std::vector<std::vector<double>>& points,
   return KMeans(std::move(centroids));
 }
 
-int KMeans::Assign(const std::vector<double>& point) const {
+int KMeans::Assign(std::span<const double> point) const {
   SCHEMBLE_CHECK(!centroids_.empty());
   int best = 0;
   double best_d = std::numeric_limits<double>::infinity();

@@ -1,6 +1,7 @@
 #ifndef SCHEMBLE_NN_KMEANS_H_
 #define SCHEMBLE_NN_KMEANS_H_
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,7 +26,7 @@ class KMeans {
                             const Options& options, Rng& rng);
 
   /// Index of the nearest centroid.
-  int Assign(const std::vector<double>& point) const;
+  int Assign(std::span<const double> point) const;
 
   /// Squared Euclidean distance to the nearest centroid.
   double NearestDistanceSquared(const std::vector<double>& point) const;

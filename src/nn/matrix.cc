@@ -39,10 +39,10 @@ std::vector<double> Matrix::ApplyTransposed(
   return y;
 }
 
-SCHEMBLE_HOT void Matrix::ApplyInto(const std::vector<double>& x,
+SCHEMBLE_HOT void Matrix::ApplyInto(std::span<const double> x,
                                     std::vector<double>* y) const {
   SCHEMBLE_CHECK_EQ(static_cast<int>(x.size()), cols_);
-  SCHEMBLE_DCHECK(y != &x);
+  SCHEMBLE_DCHECK(y->empty() || y->data() != x.data());
   // relaxed-ok: grow-event telemetry counter
   op_stats().apply_into_calls.fetch_add(1, std::memory_order_relaxed);
   if (y->capacity() < static_cast<size_t>(rows_)) {

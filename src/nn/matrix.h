@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,7 +46,7 @@ class Matrix {
   /// it. Once `y` has reached capacity (steady state) no allocation occurs;
   /// capacity growths are counted in op_stats().grow_events so tests can
   /// assert the zero-allocation invariant. `y` must not alias `x`.
-  void ApplyInto(const std::vector<double>& x, std::vector<double>* y) const;
+  void ApplyInto(std::span<const double> x, std::vector<double>* y) const;
 
   /// Out-parameter variant of ApplyTransposed (y resized to cols()).
   /// `y` must not alias `x`.

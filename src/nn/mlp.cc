@@ -76,32 +76,34 @@ size_t Mlp::ParameterCount() const {
   return n;
 }
 
-std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
+std::vector<double> Mlp::Forward(std::span<const double> x) const {
   MlpInferenceScratch scratch;
   std::vector<double> out;
   ForwardInto(x, &scratch, &out);
   return out;
 }
 
-void Mlp::ForwardInto(const std::vector<double>& x,
+void Mlp::ForwardInto(std::span<const double> x,
                       MlpInferenceScratch* scratch,
                       std::vector<double>* out) const {
   SCHEMBLE_CHECK_EQ(static_cast<int>(x.size()), input_dim());
   SCHEMBLE_CHECK(scratch != nullptr);
   SCHEMBLE_CHECK(out != nullptr && out != &scratch->a && out != &scratch->b);
   const int layers = num_layers();
-  const std::vector<double>* cur = &x;
+  std::span<const double> cur = x;
+  const std::vector<double>* prev = nullptr;  // scratch buffer holding cur
   for (int l = 0; l < layers; ++l) {
     std::vector<double>* dst =
         (l + 1 == layers) ? out
-                          : (cur == &scratch->a ? &scratch->b : &scratch->a);
-    weights_[l].ApplyInto(*cur, dst);
+                          : (prev == &scratch->a ? &scratch->b : &scratch->a);
+    weights_[l].ApplyInto(cur, dst);
     std::vector<double>& z = *dst;
     for (size_t i = 0; i < z.size(); ++i) z[i] += biases_[l][i];
     if (l + 1 < layers) {
       for (double& v : z) v = ApplyActivation(config_.hidden_activation, v);
     }
-    cur = dst;
+    cur = *dst;
+    prev = dst;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -70,12 +71,12 @@ class Mlp {
 
   /// Inference: raw (linear) outputs. Apply softmax/sigmoid at the call site
   /// as the task requires.
-  std::vector<double> Forward(const std::vector<double>& x) const;
+  std::vector<double> Forward(std::span<const double> x) const;
 
   /// Allocation-free inference: writes the (linear) outputs into `out`
   /// using the caller's ping-pong scratch. Bit-identical to Forward.
   /// `out` must be distinct from both scratch buffers.
-  void ForwardInto(const std::vector<double>& x, MlpInferenceScratch* scratch,
+  void ForwardInto(std::span<const double> x, MlpInferenceScratch* scratch,
                    std::vector<double>* out) const;
 
   /// Forward pass that records activations for Backward. Returns a

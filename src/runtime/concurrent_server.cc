@@ -6,6 +6,7 @@
 #include <span>
 #include <utility>
 
+#include "common/hot_path.h"
 #include "common/logging.h"
 #include "serving/completion.h"
 
@@ -157,8 +158,8 @@ MetricSink* ConcurrentServer::NewMetricShard() {
   return shards_.back().get();
 }
 
-void ConcurrentServer::FinalizeQueries(std::span<const Finalization> batch,
-                                       MetricSink* shard) {
+SCHEMBLE_HOT void ConcurrentServer::FinalizeQueries(
+    std::span<const Finalization> batch, MetricSink* shard) {
   // One workspace per finalizing thread (admitters, workers, deadline
   // threads, the pump that runs the tail round):
   // the aggregation/fill/meta-classifier chain reuses it, so steady-state
@@ -189,7 +190,7 @@ void ConcurrentServer::FinalizeQueries(std::span<const Finalization> batch,
   }
 }
 
-void ConcurrentServer::ArrivalPumpLoop(int pump) {
+SCHEMBLE_HOT void ConcurrentServer::ArrivalPumpLoop(int pump) {
   const SimTime processing_delay = policies_[0]->ArrivalProcessingDelay();
   const bool multi = domains_.size() > 1;
   RoutingPolicy* router = router_ != nullptr
@@ -198,32 +199,53 @@ void ConcurrentServer::ArrivalPumpLoop(int pump) {
                                      ? nullptr
                                      : pump_routers_[static_cast<size_t>(
                                                          pump)].get());
-  const std::vector<int>& mine = pump_indices_[static_cast<size_t>(pump)];
-  // Reused across batches; capacities pin at the largest batch.
+  const std::vector<TracedQuery>& items = trace_->items;
+  const size_t n = items.size();
+  // This pump's slots [slot_begin, slot_end) of the weighted round-robin
+  // cycle; it replays trace index base + slot, walking slots in order and
+  // moving `base` on by one cycle each lap, so its indices ascend.
+  const std::vector<int>& weights = options_.arrival_pump_weights;
+  size_t cycle = 0;
+  size_t slot_begin = 0;
+  auto weight = [&weights](int p) {
+    return weights.empty()
+               ? size_t{1}
+               : static_cast<size_t>(weights[static_cast<size_t>(p)]);
+  };
+  for (int p = 0; p < options_.num_arrival_threads; ++p) {
+    if (p == pump) slot_begin = cycle;
+    cycle += weight(p);
+  }
+  const size_t slot_end = slot_begin + weight(pump);
+  size_t base = 0;
+  size_t slot = slot_begin;
+  // One pass routes at most inbox_capacity arrivals in total: a larger
+  // batch would only park in PushRouted. Buffers are reserved once, so a
+  // pass never reallocates.
+  const size_t max_batch = std::min(
+      static_cast<size_t>(options_.inbox_capacity), std::max<size_t>(n, 1));
   std::vector<std::vector<int>> routed(domains_.size());
-  std::vector<DomainLoad> loads;
+  for (std::vector<int>& r : routed) {
+    r.reserve(max_batch);  // hot-ok: once per run, before the first pass
+  }
+  std::vector<DomainLoad> loads(multi ? domains_.size() : 0);
   int64_t routed_total = 0;
-  size_t i = 0;
-  while (i < mine.size()) {
+  while (base + slot < n) {
     // Each pump paces its own partition: its indices are ascending, so
     // per-pump arrival order is the trace order of its slice.
-    const TracedQuery& head = trace_->items[static_cast<size_t>(mine[i])];
-    clock_->SleepUntil(head.arrival_time + processing_delay);
+    clock_->SleepUntil(items[base + slot].arrival_time + processing_delay);
     const SimTime now = clock_->Now();
     for (std::vector<int>& r : routed) r.clear();
     // One lock-free load read per batch, not per query; the pump-local
     // copy is then advanced by in-batch compensation below.
-    if (multi) {
-      loads.clear();
-      for (const auto& domain : domains_) {
-        loads.push_back(domain->Load());  // crosses(domain)
-      }
+    for (size_t d = 0; d < loads.size(); ++d) {
+      loads[d] = domains_[d]->Load();  // crosses(domain)
     }
-    // Batched routing: every arrival of this partition already due is
-    // placed in this pass.
-    while (i < mine.size()) {
-      const int index = mine[i];
-      const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
+    // Batched routing: arrivals of this partition already due are placed
+    // in this pass, up to max_batch.
+    for (size_t batch = 0; batch < max_batch && base + slot < n; ++batch) {
+      const int index = static_cast<int>(base + slot);
+      const TracedQuery& tq = items[static_cast<size_t>(index)];
       if (tq.arrival_time + processing_delay > now) break;
       int d = 0;
       if (multi) {
@@ -234,8 +256,12 @@ void ConcurrentServer::ArrivalPumpLoop(int pump) {
         // batch already placed.
         ++loads[static_cast<size_t>(d)].inbox;
       }
-      routed[static_cast<size_t>(d)].push_back(index);
-      ++i;
+      std::vector<int>& out = routed[static_cast<size_t>(d)];
+      out.push_back(index);  // hot-ok: bounded by inbox_capacity
+      if (++slot == slot_end) {
+        slot = slot_begin;
+        base += cycle;
+      }
     }
     for (size_t d = 0; d < domains_.size(); ++d) {
       if (routed[d].empty()) continue;
@@ -277,27 +303,13 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   // slot (i mod cycle) of the weighted round-robin cycle. Equal weights
   // (the default) reduce to plain round-robin i % P. The split depends
   // only on the trace length and the options — never on seeds or timing —
-  // and each pump's slice is ascending, preserving its arrival order.
+  // and each pump walks its slice in ascending order (ArrivalPumpLoop),
+  // preserving its arrival order.
   const int n_pumps = options_.num_arrival_threads;
   if (n > 0) {
     SCHEMBLE_CHECK_LE(static_cast<size_t>(n_pumps), n)
         << "more arrival pumps than trace queries: at least one pump "
            "would replay nothing";
-  }
-  std::vector<int> weights = options_.arrival_pump_weights;
-  if (weights.empty()) weights.assign(static_cast<size_t>(n_pumps), 1);
-  std::vector<int> slot_ends(static_cast<size_t>(n_pumps), 0);
-  int cycle = 0;
-  for (int p = 0; p < n_pumps; ++p) {
-    cycle += weights[static_cast<size_t>(p)];
-    slot_ends[static_cast<size_t>(p)] = cycle;
-  }
-  pump_indices_.assign(static_cast<size_t>(n_pumps), {});
-  for (size_t i = 0; i < n; ++i) {
-    const int slot = static_cast<int>(i % static_cast<size_t>(cycle));
-    int p = 0;
-    while (slot >= slot_ends[static_cast<size_t>(p)]) ++p;
-    pump_indices_[static_cast<size_t>(p)].push_back(static_cast<int>(i));
   }
   pump_routed_.assign(static_cast<size_t>(n_pumps), 0);
   pumps_remaining_.store(n_pumps, std::memory_order_release);

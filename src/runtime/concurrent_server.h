@@ -182,10 +182,12 @@ class ConcurrentServer : private DomainHost {
   void FinalizeQueries(std::span<const Finalization> batch,
                        MetricSink* shard) override;
 
-  /// One arrival pump: replays pump_indices_[pump] with its own SleepUntil
-  /// pacing, routing against lock-free domain Load() reads and pushing
-  /// into domain inboxes. Never acquires a domain mutex (lint rule
-  /// arrival-pump); the last pump to finish signals ArrivalsDone.
+  /// One arrival pump: replays its slots of the weighted round-robin
+  /// partition (see Run) with its own SleepUntil pacing, routing against
+  /// lock-free domain Load() reads and pushing batches of at most
+  /// inbox_capacity into domain inboxes. Never acquires a domain mutex
+  /// (lint rule arrival-pump); the last pump to finish signals
+  /// ArrivalsDone.
   void ArrivalPumpLoop(int pump);
 
   const SyntheticTask* task_;
@@ -199,9 +201,6 @@ class ConcurrentServer : private DomainHost {
   /// One built-in router instance per pump (RoutingPolicy instances are
   /// single-caller); empty when router_ is set or num_domains == 1.
   std::vector<std::unique_ptr<RoutingPolicy>> pump_routers_;
-  /// pump_indices_[p] = ascending trace indices pump p replays. Built in
-  /// Run() before any thread spawns; const afterwards.
-  std::vector<std::vector<int>> pump_indices_;
   /// Queries routed per pump; single writer (the pump), read after join.
   std::vector<int64_t> pump_routed_;
   /// Last pump to finish flips this to 0 and broadcasts ArrivalsDone.

@@ -24,7 +24,7 @@ QueryOutcome EvaluateCompletion(const SyntheticTask& task,
     task.AggregateSubsetInto(tq.query, ws->subset, &ws->result);
   }
   outcome.processed = true;
-  outcome.match = task.MatchScore(ws->result, tq.query.ensemble_output);
+  outcome.match = task.MatchScore(ws->result, tq.query.ensemble_output());
   outcome.latency_ms = SimTimeToMillis(completion - tq.arrival_time);
   outcome.missed = !allow_rejection && completion > tq.deadline;
   return outcome;

@@ -37,7 +37,7 @@ enum class QueryPhase : uint8_t {
 ///   TaskDone  Assigned           -> Assigned   (returns "all tasks done")
 ///   Finalize  any                -> Finalized  (false if already finalized;
 ///                                               unbuffers, bumps generation)
-///   Release   Buffered | Assigned -> Pending   (clears both masks, bumps
+///   Release   Assigned           -> Pending    (clears both masks, bumps
 ///                                               generation; runtime only)
 ///
 /// The generation lets the runtime tell stale plan entries and tasks from
@@ -114,12 +114,12 @@ class QueryLifecycle {
     return true;
   }
 
+  /// Hands an assigned query back for re-admission (a fail-stop requeue:
+  /// only a task whose query is still assigned can be requeued).
   void Release(int index) {
     QueryState& s = At(index);
-    SCHEMBLE_CHECK(s.phase_ == QueryPhase::kBuffered ||
-                   s.phase_ == QueryPhase::kAssigned)
-        << "Release: query " << index << " is pending or finalized";
-    Unbuffer(index, &s);
+    SCHEMBLE_CHECK(s.phase_ == QueryPhase::kAssigned)
+        << "Release: query " << index << " is not assigned";
     s.phase_ = QueryPhase::kPending;
     s.assigned_ = 0;
     s.done_ = 0;

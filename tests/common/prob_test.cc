@@ -8,6 +8,9 @@
 namespace schemble {
 namespace {
 
+// The functions under test take spans, which brace lists do not convert to.
+using Vec = std::vector<double>;
+
 double Sum(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x;
@@ -15,27 +18,27 @@ double Sum(const std::vector<double>& v) {
 }
 
 TEST(SoftmaxTest, SumsToOne) {
-  std::vector<double> p = Softmax({1.0, 2.0, 3.0});
+  std::vector<double> p = Softmax(Vec{1.0, 2.0, 3.0});
   EXPECT_NEAR(Sum(p), 1.0, 1e-12);
   EXPECT_LT(p[0], p[1]);
   EXPECT_LT(p[1], p[2]);
 }
 
 TEST(SoftmaxTest, StableForLargeLogits) {
-  std::vector<double> p = Softmax({1000.0, 999.0});
+  std::vector<double> p = Softmax(Vec{1000.0, 999.0});
   EXPECT_NEAR(Sum(p), 1.0, 1e-12);
   EXPECT_GT(p[0], p[1]);
   EXPECT_FALSE(std::isnan(p[0]));
 }
 
 TEST(SoftmaxTest, UniformForEqualLogits) {
-  std::vector<double> p = Softmax({0.5, 0.5, 0.5, 0.5});
+  std::vector<double> p = Softmax(Vec{0.5, 0.5, 0.5, 0.5});
   for (double v : p) EXPECT_NEAR(v, 0.25, 1e-12);
 }
 
 TEST(SoftmaxTemperatureTest, HighTemperatureFlattens) {
-  std::vector<double> sharp = SoftmaxWithTemperature({2.0, 0.0}, 0.5);
-  std::vector<double> flat = SoftmaxWithTemperature({2.0, 0.0}, 4.0);
+  std::vector<double> sharp = SoftmaxWithTemperature(Vec{2.0, 0.0}, 0.5);
+  std::vector<double> flat = SoftmaxWithTemperature(Vec{2.0, 0.0}, 4.0);
   EXPECT_GT(sharp[0], flat[0]);
   EXPECT_NEAR(Sum(flat), 1.0, 1e-12);
 }
@@ -61,14 +64,14 @@ TEST(NormalizeTest, ZeroVectorBecomesUniform) {
 }
 
 TEST(EntropyTest, UniformIsMaximal) {
-  const double uniform = Entropy({0.25, 0.25, 0.25, 0.25});
-  const double peaked = Entropy({0.97, 0.01, 0.01, 0.01});
+  const double uniform = Entropy(Vec{0.25, 0.25, 0.25, 0.25});
+  const double peaked = Entropy(Vec{0.97, 0.01, 0.01, 0.01});
   EXPECT_NEAR(uniform, std::log(4.0), 1e-12);
   EXPECT_LT(peaked, uniform);
 }
 
 TEST(EntropyTest, PointMassIsZero) {
-  EXPECT_NEAR(Entropy({1.0, 0.0, 0.0}), 0.0, 1e-9);
+  EXPECT_NEAR(Entropy(Vec{1.0, 0.0, 0.0}), 0.0, 1e-9);
 }
 
 TEST(KlTest, ZeroForIdenticalDistributions) {
@@ -106,18 +109,19 @@ TEST(JsTest, SymmetricAndZeroOnEqual) {
 
 TEST(JsTest, MonotoneInSeparation) {
   std::vector<double> base = {0.5, 0.5};
-  EXPECT_LT(JsDivergence(base, {0.6, 0.4}), JsDivergence(base, {0.9, 0.1}));
+  EXPECT_LT(JsDivergence(base, Vec{0.6, 0.4}),
+            JsDivergence(base, Vec{0.9, 0.1}));
 }
 
 TEST(EuclideanTest, KnownDistance) {
-  EXPECT_DOUBLE_EQ(EuclideanDistance({0.0, 0.0}, {3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(EuclideanDistance({1.0}, {1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(EuclideanDistance(Vec{0.0, 0.0}, Vec{3.0, 4.0}), 5.0);
+  EXPECT_DOUBLE_EQ(EuclideanDistance(Vec{1.0}, Vec{1.0}), 0.0);
 }
 
 TEST(ArgmaxTest, FindsMaxAndBreaksTiesLow) {
-  EXPECT_EQ(Argmax({0.1, 0.8, 0.1}), 1);
-  EXPECT_EQ(Argmax({0.5, 0.5}), 0);
-  EXPECT_EQ(Argmax({-3.0, -1.0, -2.0}), 1);
+  EXPECT_EQ(Argmax(Vec{0.1, 0.8, 0.1}), 1);
+  EXPECT_EQ(Argmax(Vec{0.5, 0.5}), 0);
+  EXPECT_EQ(Argmax(Vec{-3.0, -1.0, -2.0}), 1);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(AggregatorTest, VotingExcludesMissingModels) {
   const Query& q = history[0];
   const auto votes = agg.value().Aggregate(q, 0b001);
   // One voter: its argmax gets all the (normalized) vote mass.
-  EXPECT_NEAR(votes[Argmax(q.model_outputs[0])], 1.0, 1e-9);
+  EXPECT_NEAR(votes[Argmax(q.model_output(0))], 1.0, 1e-9);
 }
 
 TEST(AggregatorTest, VotingFullEnsembleUsuallyMatchesAveraging) {
@@ -48,7 +48,7 @@ TEST(AggregatorTest, VotingFullEnsembleUsuallyMatchesAveraging) {
   int agree = 0;
   for (const Query& q : history) {
     const auto v = vote.value().Aggregate(q, 0b111);
-    if (Argmax(v) == Argmax(q.ensemble_output)) ++agree;
+    if (Argmax(v) == Argmax(q.ensemble_output())) ++agree;
   }
   EXPECT_GT(agree, 500);
 }
@@ -83,7 +83,7 @@ TEST(AggregatorTest, StackingWithFullOutputsTracksEnsemble) {
   int agree = 0;
   for (const Query& q : test) {
     const auto out = agg.value().Aggregate(q, 0b111);
-    if (Argmax(out) == Argmax(q.ensemble_output)) ++agree;
+    if (Argmax(out) == Argmax(q.ensemble_output())) ++agree;
   }
   EXPECT_GT(agree, 340);
 }
@@ -101,7 +101,7 @@ TEST(AggregatorTest, StackingWithMissingOutputsDegradesGracefully) {
   for (const Query& q : test) {
     // Only the two strongest models executed; KNN fills BiLSTM's slot.
     const auto out = agg.value().Aggregate(q, 0b110);
-    if (Argmax(out) == Argmax(q.ensemble_output)) ++agree_partial;
+    if (Argmax(out) == Argmax(q.ensemble_output())) ++agree_partial;
   }
   // Realistic (mostly easy) traffic: partial-output stacking should stay
   // close to the ensemble.
@@ -124,7 +124,7 @@ TEST(AggregatorTest, StackingRobustToKChoice) {
     int agree = 0;
     for (const Query& q : test) {
       const auto out = agg.value().Aggregate(q, 0b101);
-      if (Argmax(out) == Argmax(q.ensemble_output)) ++agree;
+      if (Argmax(out) == Argmax(q.ensemble_output())) ++agree;
     }
     const double acc = static_cast<double>(agree) / test.size();
     if (previous >= 0.0) {

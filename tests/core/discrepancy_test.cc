@@ -131,7 +131,7 @@ TEST(DiscrepancyScorerTest, DiscrepancyPredictsSubsetLossBetterThanEa) {
   std::vector<double> ea_scores;
   for (const Query& q : history) {
     const std::vector<double> pair = task.AggregateSubset(q, {1, 2});
-    subset_wrong.push_back(1.0 - task.MatchScore(pair, q.ensemble_output));
+    subset_wrong.push_back(1.0 - task.MatchScore(pair, q.ensemble_output()));
     dis_scores.push_back(dis.value().Score(q));
     ea_scores.push_back(ea.value().Score(q));
   }

@@ -125,7 +125,7 @@ TEST(DiscrepancyPredictorTest, TaskHeadPredictsEnsembleDecision) {
   int correct = 0;
   for (const Query& q : f.test) {
     const auto head = predictor.value().TaskHead(q);
-    if (Argmax(head) == Argmax(q.ensemble_output)) ++correct;
+    if (Argmax(head) == Argmax(q.ensemble_output())) ++correct;
   }
   // The auxiliary head should comfortably beat chance on the binary task.
   EXPECT_GT(correct, static_cast<int>(f.test.size() * 0.6));

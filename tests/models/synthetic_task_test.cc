@@ -2,15 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <vector>
 
 #include "common/prob.h"
 #include "common/rng.h"
 #include "models/task_factory.h"
+#include "workload/trace.h"
+
+// Counts heap allocations while `g_count_allocations` is set (the
+// one-allocation-per-query test below); otherwise a plain malloc wrapper.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// The replaced operator new above allocates with malloc, so free is the
+// matching release; gcc cannot see that pairing and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace schemble {
 namespace {
+
+// A trace holds one TracedQuery per arrival, so its size is paid per query.
+static_assert(sizeof(TracedQuery) <= 112);
 
 TEST(DifficultyDistributionTest, SamplesClippedToUnitInterval) {
   Rng rng(1);
@@ -87,14 +117,117 @@ TEST(SyntheticTaskTest, QueryGenerationIsDeterministic) {
   const Query a = task.GenerateQuery(42, 0.3);
   const Query b = task.GenerateQuery(42, 0.3);
   EXPECT_EQ(a.true_label, b.true_label);
-  ASSERT_EQ(a.features.size(), b.features.size());
-  for (size_t i = 0; i < a.features.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.features[i], b.features[i]);
+  ASSERT_EQ(a.features().size(), b.features().size());
+  for (size_t i = 0; i < a.features().size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.features()[i], b.features()[i]);
   }
   for (int k = 0; k < task.num_models(); ++k) {
-    for (size_t i = 0; i < a.model_outputs[k].size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.model_outputs[k][i], b.model_outputs[k][i]);
+    for (size_t i = 0; i < a.model_output(k).size(); ++i) {
+      EXPECT_DOUBLE_EQ(a.model_output(k)[i], b.model_output(k)[i]);
     }
+  }
+}
+
+/// FNV-1a over everything GenerateQuery produces for ids 0..63 of the four
+/// task presets: every payload double (features, each model's output, each
+/// model's logits, the ensemble output, each with its length), then
+/// true_label, true_value and the relevant set. Pins generation bit for bit
+/// independently of the serving goldens.
+uint64_t GenerationHash() {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto bytes = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto u64 = [&bytes](uint64_t v) { bytes(&v, sizeof(v)); };
+  auto f64 = [&u64](double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  };
+  auto span = [&](std::span<const double> s) {
+    u64(s.size());
+    for (double v : s) f64(v);
+  };
+  const SyntheticTask tasks[] = {MakeTextMatchingTask(),
+                                 MakeVehicleCountingTask(),
+                                 MakeImageRetrievalTask(),
+                                 MakeCifar100StyleTask()};
+  for (const SyntheticTask& task : tasks) {
+    for (int64_t id = 0; id < 64; ++id) {
+      const Query q =
+          task.GenerateQuery(id, static_cast<double>(id) / 63.0);
+      span(q.features());
+      for (int k = 0; k < task.num_models(); ++k) span(q.model_output(k));
+      if (q.has_logits()) {
+        for (int k = 0; k < task.num_models(); ++k) span(q.model_logits(k));
+      }
+      span(q.ensemble_output());
+      u64(static_cast<uint64_t>(q.true_label));
+      f64(q.true_value);
+      u64(q.relevant.size());
+      for (int r : q.relevant) u64(static_cast<uint64_t>(r));
+    }
+  }
+  return h;
+}
+
+TEST(SyntheticTaskTest, GenerationMatchesGoldenHash) {
+  // Recorded before the payload moved into one block; any change to the
+  // RNG draw order or the arithmetic of generation changes it.
+  EXPECT_EQ(GenerationHash(), 0x1d8662bbda59bb67ull);
+}
+
+TEST(SyntheticTaskTest, PayloadSpansTileOneBlock) {
+  const SyntheticTask tasks[] = {MakeTextMatchingTask(),
+                                 MakeVehicleCountingTask(),
+                                 MakeImageRetrievalTask(),
+                                 MakeCifar100StyleTask()};
+  for (const SyntheticTask& task : tasks) {
+    const Query q = task.GenerateQuery(3, 0.4);
+    const bool classification =
+        task.spec().type == TaskType::kClassification;
+    EXPECT_EQ(q.has_logits(), classification);
+    EXPECT_EQ(q.num_models(), task.num_models());
+    // Walk the block in layout order: each span starts where the previous
+    // one ended, and the last ends at the end of the block.
+    const std::span<const double> block = q.payload();
+    const double* next = block.data();
+    auto expect_next = [&](std::span<const double> s, size_t size) {
+      EXPECT_EQ(s.data(), next);
+      EXPECT_EQ(s.size(), size);
+      next = s.data() + s.size();
+    };
+    const size_t dim = static_cast<size_t>(task.output_dim());
+    expect_next(q.features(), static_cast<size_t>(task.spec().feature_dim()));
+    for (int k = 0; k < task.num_models(); ++k) {
+      expect_next(q.model_output(k), dim);
+    }
+    if (classification) {
+      for (int k = 0; k < task.num_models(); ++k) {
+        expect_next(q.model_logits(k), dim);
+      }
+    }
+    expect_next(q.ensemble_output(), dim);
+    EXPECT_EQ(next, block.data() + block.size());
+  }
+}
+
+TEST(SyntheticTaskTest, ClassificationAndRegressionQueriesAllocateOnce) {
+  const SyntheticTask tasks[] = {MakeTextMatchingTask(),
+                                 MakeVehicleCountingTask(),
+                                 MakeCifar100StyleTask()};
+  for (const SyntheticTask& task : tasks) {
+    g_allocations.store(0);
+    g_count_allocations.store(true);
+    const Query q = task.GenerateQuery(11, 0.7);
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_allocations.load(), 1) << "task with " << task.num_models()
+                                       << " models";
+    EXPECT_EQ(q.id, 11);
   }
 }
 
@@ -103,8 +236,8 @@ TEST(SyntheticTaskTest, DifferentIdsDiffer) {
   const Query a = task.GenerateQuery(1, 0.3);
   const Query b = task.GenerateQuery(2, 0.3);
   bool any_diff = false;
-  for (size_t i = 0; i < a.features.size(); ++i) {
-    any_diff |= a.features[i] != b.features[i];
+  for (size_t i = 0; i < a.features().size(); ++i) {
+    any_diff |= a.features()[i] != b.features()[i];
   }
   EXPECT_TRUE(any_diff);
 }
@@ -115,15 +248,15 @@ TEST(SyntheticTaskTest, ClassificationOutputsAreDistributions) {
   EXPECT_EQ(task.output_dim(), 2);
   for (int k = 0; k < task.num_models(); ++k) {
     double sum = 0.0;
-    for (double v : q.model_outputs[k]) {
+    for (double v : q.model_output(k)) {
       EXPECT_GE(v, 0.0);
       sum += v;
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
-    EXPECT_EQ(q.model_logits[k].size(), 2u);
+    EXPECT_EQ(q.model_logits(k).size(), 2u);
   }
   double esum = 0.0;
-  for (double v : q.ensemble_output) esum += v;
+  for (double v : q.ensemble_output()) esum += v;
   EXPECT_NEAR(esum, 1.0, 1e-9);
 }
 
@@ -133,10 +266,10 @@ TEST(SyntheticTaskTest, EasyQueriesYieldAgreement) {
   const int n = 500;
   for (int i = 0; i < n; ++i) {
     const Query q = task.GenerateQuery(i, 0.02);
-    const int e = Argmax(q.ensemble_output);
+    const int e = Argmax(q.ensemble_output());
     bool all_agree = true;
     for (int k = 0; k < task.num_models(); ++k) {
-      all_agree &= Argmax(q.model_outputs[k]) == e;
+      all_agree &= Argmax(q.model_output(k)) == e;
     }
     if (all_agree) ++agree;
   }
@@ -151,10 +284,10 @@ TEST(SyntheticTaskTest, HardQueriesYieldDisagreement) {
   const int n = 500;
   for (int i = 0; i < n; ++i) {
     const Query q = task.GenerateQuery(1000 + i, 0.95);
-    const int first = Argmax(q.model_outputs[0]);
+    const int first = Argmax(q.model_output(0));
     bool all_same = true;
     for (int k = 1; k < task.num_models(); ++k) {
-      all_same &= Argmax(q.model_outputs[k]) == first;
+      all_same &= Argmax(q.model_output(k)) == first;
     }
     if (!all_same) ++disagree;
   }
@@ -169,7 +302,7 @@ TEST(SyntheticTaskTest, AccuracyVsTrueLabelMatchesProfileCurve) {
     const int n = 4000;
     for (int i = 0; i < n; ++i) {
       const Query q = task.GenerateQuery(10000 + i, h);
-      if (Argmax(q.model_outputs[k]) == q.true_label) ++correct;
+      if (Argmax(q.model_output(k)) == q.true_label) ++correct;
     }
     const double expected = task.profile(k).CorrectProbability(h);
     EXPECT_NEAR(static_cast<double>(correct) / n, expected, 0.03)
@@ -186,8 +319,8 @@ TEST(SyntheticTaskTest, RegressionOutputsTrackTrueValue) {
   for (int i = 0; i < n; ++i) {
     const Query qe = task.GenerateQuery(i, 0.05);
     const Query qh = task.GenerateQuery(n + i, 0.95);
-    err_easy += std::fabs(qe.model_outputs[1][0] - qe.true_value);
-    err_hard += std::fabs(qh.model_outputs[1][0] - qh.true_value);
+    err_easy += std::fabs(qe.model_output(1)[0] - qe.true_value);
+    err_hard += std::fabs(qh.model_output(1)[0] - qh.true_value);
   }
   EXPECT_LT(err_easy / n, err_hard / n);
 }
@@ -198,7 +331,7 @@ TEST(SyntheticTaskTest, RegressionValuesNonNegative) {
     const Query q = task.GenerateQuery(i, 0.9);
     EXPECT_GE(q.true_value, 0.0);
     for (int k = 0; k < task.num_models(); ++k) {
-      EXPECT_GE(q.model_outputs[k][0], 0.0);
+      EXPECT_GE(q.model_output(k)[0], 0.0);
     }
   }
 }
@@ -212,7 +345,7 @@ TEST(SyntheticTaskTest, RetrievalShapesAndRelevantSet) {
     EXPECT_GE(c, 0);
     EXPECT_LT(c, 16);
   }
-  EXPECT_EQ(q.model_outputs[0].size(), 16u);
+  EXPECT_EQ(q.model_output(0).size(), 16u);
 }
 
 TEST(SyntheticTaskTest, RetrievalEasyQueriesScoreHighMap) {
@@ -223,8 +356,8 @@ TEST(SyntheticTaskTest, RetrievalEasyQueriesScoreHighMap) {
   for (int i = 0; i < n; ++i) {
     const Query qe = task.GenerateQuery(i, 0.05);
     const Query qh = task.GenerateQuery(n + i, 0.95);
-    ap_easy += task.TrueScore(qe.ensemble_output, qe);
-    ap_hard += task.TrueScore(qh.ensemble_output, qh);
+    ap_easy += task.TrueScore(qe.ensemble_output(), qe);
+    ap_hard += task.TrueScore(qh.ensemble_output(), qh);
   }
   EXPECT_GT(ap_easy / n, 0.9);
   EXPECT_LT(ap_hard / n, ap_easy / n);
@@ -234,9 +367,9 @@ TEST(SyntheticTaskTest, AggregateSubsetOfAllEqualsEnsembleOutput) {
   SyntheticTask task = MakeTextMatchingTask(25);
   const Query q = task.GenerateQuery(77, 0.4);
   const std::vector<double> agg = task.AggregateSubset(q, {0, 1, 2});
-  ASSERT_EQ(agg.size(), q.ensemble_output.size());
+  ASSERT_EQ(agg.size(), q.ensemble_output().size());
   for (size_t i = 0; i < agg.size(); ++i) {
-    EXPECT_NEAR(agg[i], q.ensemble_output[i], 1e-12);
+    EXPECT_NEAR(agg[i], q.ensemble_output()[i], 1e-12);
   }
 }
 
@@ -245,20 +378,24 @@ TEST(SyntheticTaskTest, SingleModelSubsetEqualsModelOutput) {
   const Query q = task.GenerateQuery(88, 0.4);
   const std::vector<double> agg = task.AggregateSubset(q, {1});
   for (size_t i = 0; i < agg.size(); ++i) {
-    EXPECT_NEAR(agg[i], q.model_outputs[1][i], 1e-12);
+    EXPECT_NEAR(agg[i], q.model_output(1)[i], 1e-12);
   }
 }
 
 TEST(SyntheticTaskTest, MatchScoreClassification) {
   SyntheticTask task = MakeTextMatchingTask(29);
-  EXPECT_DOUBLE_EQ(task.MatchScore({0.8, 0.2}, {0.6, 0.4}), 1.0);
-  EXPECT_DOUBLE_EQ(task.MatchScore({0.2, 0.8}, {0.6, 0.4}), 0.0);
+  EXPECT_DOUBLE_EQ(task.MatchScore(std::vector<double>{0.8, 0.2},
+                                   std::vector<double>{0.6, 0.4}), 1.0);
+  EXPECT_DOUBLE_EQ(task.MatchScore(std::vector<double>{0.2, 0.8},
+                                   std::vector<double>{0.6, 0.4}), 0.0);
 }
 
 TEST(SyntheticTaskTest, MatchScoreRegressionTolerance) {
   SyntheticTask task = MakeVehicleCountingTask(31);
-  EXPECT_DOUBLE_EQ(task.MatchScore({10.0}, {10.9}), 1.0);
-  EXPECT_DOUBLE_EQ(task.MatchScore({10.0}, {11.5}), 0.0);
+  EXPECT_DOUBLE_EQ(task.MatchScore(std::vector<double>{10.0},
+                                   std::vector<double>{10.9}), 1.0);
+  EXPECT_DOUBLE_EQ(task.MatchScore(std::vector<double>{10.0},
+                                   std::vector<double>{11.5}), 0.0);
 }
 
 TEST(SyntheticTaskTest, EnsembleBeatsSingleModelOnTrueLabels) {
@@ -268,9 +405,9 @@ TEST(SyntheticTaskTest, EnsembleBeatsSingleModelOnTrueLabels) {
   double ens = 0.0;
   std::vector<double> single(task.num_models(), 0.0);
   for (const Query& q : data) {
-    ens += task.TrueScore(q.ensemble_output, q);
+    ens += task.TrueScore(q.ensemble_output(), q);
     for (int k = 0; k < task.num_models(); ++k) {
-      single[k] += task.TrueScore(q.model_outputs[k], q);
+      single[k] += task.TrueScore(q.model_output(k), q);
     }
   }
   for (int k = 0; k < task.num_models(); ++k) {
@@ -290,11 +427,12 @@ TEST(SyntheticTaskTest, GenerateDatasetRespectsSizeAndIds) {
 TEST(AveragePrecisionTest, PerfectRankingIsOne) {
   // Relevant items hold the top scores.
   EXPECT_DOUBLE_EQ(
-      AveragePrecision({0.9, 0.8, 0.1, 0.0}, {0, 1}), 1.0);
+      AveragePrecision(std::vector<double>{0.9, 0.8, 0.1, 0.0}, {0, 1}), 1.0);
 }
 
 TEST(AveragePrecisionTest, WorstRankingIsLow) {
-  const double ap = AveragePrecision({0.0, 0.1, 0.8, 0.9}, {0, 1});
+  const double ap =
+      AveragePrecision(std::vector<double>{0.0, 0.1, 0.8, 0.9}, {0, 1});
   // Relevant at ranks 3 and 4: AP = (1/3 + 2/4)/2.
   EXPECT_NEAR(ap, (1.0 / 3.0 + 0.5) / 2.0, 1e-12);
 }
@@ -304,7 +442,7 @@ TEST(Cifar100TaskTest, HundredWayOutputs) {
   EXPECT_EQ(task.num_models(), 6);
   EXPECT_EQ(task.output_dim(), 100);
   const Query q = task.GenerateQuery(1, 0.3);
-  EXPECT_EQ(q.model_outputs[0].size(), 100u);
+  EXPECT_EQ(q.model_output(0).size(), 100u);
   EXPECT_GE(q.true_label, 0);
   EXPECT_LT(q.true_label, 100);
 }
@@ -316,7 +454,7 @@ TEST(Cifar100TaskTest, DifferentModelSeedsChangeErrors) {
   for (int i = 0; i < 200; ++i) {
     const Query qa = a.GenerateQuery(i, 0.6);
     const Query qb = b.GenerateQuery(i, 0.6);
-    if (Argmax(qa.model_outputs[0]) != Argmax(qb.model_outputs[0])) ++diff;
+    if (Argmax(qa.model_output(0)) != Argmax(qb.model_output(0))) ++diff;
   }
   EXPECT_GT(diff, 10);
 }

@@ -51,24 +51,24 @@ TEST_P(TaskSweepTest, OutputsWellFormed) {
   SyntheticTask task = MakeTask(kind);
   for (int i = 0; i < 50; ++i) {
     const Query q = task.GenerateQuery(i, difficulty);
-    EXPECT_EQ(q.features.size(),
+    EXPECT_EQ(q.features().size(),
               static_cast<size_t>(task.spec().feature_dim()));
-    EXPECT_EQ(q.model_outputs.size(),
+    EXPECT_EQ(q.num_models(),
               static_cast<size_t>(task.num_models()));
     for (int k = 0; k < task.num_models(); ++k) {
-      EXPECT_EQ(q.model_outputs[k].size(),
+      EXPECT_EQ(q.model_output(k).size(),
                 static_cast<size_t>(task.output_dim()));
-      for (double v : q.model_outputs[k]) EXPECT_FALSE(std::isnan(v));
+      for (double v : q.model_output(k)) EXPECT_FALSE(std::isnan(v));
       if (task.spec().type == TaskType::kClassification) {
         double sum = 0.0;
-        for (double v : q.model_outputs[k]) {
+        for (double v : q.model_output(k)) {
           EXPECT_GE(v, 0.0);
           sum += v;
         }
         EXPECT_NEAR(sum, 1.0, 1e-9);
       }
     }
-    EXPECT_EQ(q.ensemble_output.size(),
+    EXPECT_EQ(q.ensemble_output().size(),
               static_cast<size_t>(task.output_dim()));
   }
 }
@@ -81,7 +81,7 @@ TEST_P(TaskSweepTest, FullSubsetAlwaysMatchesEnsemble) {
   for (int i = 0; i < 30; ++i) {
     const Query q = task.GenerateQuery(100 + i, difficulty);
     const auto agg = task.AggregateSubset(q, all);
-    EXPECT_NEAR(task.MatchScore(agg, q.ensemble_output), 1.0, 1e-9);
+    EXPECT_NEAR(task.MatchScore(agg, q.ensemble_output()), 1.0, 1e-9);
   }
 }
 
@@ -92,8 +92,8 @@ TEST_P(TaskSweepTest, GenerationDeterministic) {
   const Query a = task_a.GenerateQuery(7, difficulty);
   const Query b = task_b.GenerateQuery(7, difficulty);
   for (int k = 0; k < task_a.num_models(); ++k) {
-    for (size_t d = 0; d < a.model_outputs[k].size(); ++d) {
-      EXPECT_DOUBLE_EQ(a.model_outputs[k][d], b.model_outputs[k][d]);
+    for (size_t d = 0; d < a.model_output(k).size(); ++d) {
+      EXPECT_DOUBLE_EQ(a.model_output(k)[d], b.model_output(k)[d]);
     }
   }
 }
@@ -105,11 +105,11 @@ TEST_P(TaskSweepTest, MatchScoreBoundedAndReflexive) {
     const Query q = task.GenerateQuery(200 + i, difficulty);
     for (int k = 0; k < task.num_models(); ++k) {
       const double score =
-          task.MatchScore(q.model_outputs[k], q.ensemble_output);
+          task.MatchScore(q.model_output(k), q.ensemble_output());
       EXPECT_GE(score, 0.0);
       EXPECT_LE(score, 1.0);
     }
-    EXPECT_NEAR(task.MatchScore(q.ensemble_output, q.ensemble_output), 1.0,
+    EXPECT_NEAR(task.MatchScore(q.ensemble_output(), q.ensemble_output()), 1.0,
                 1e-9);
   }
 }
@@ -135,7 +135,7 @@ TEST_P(TaskAgreementTest, SingleModelAgreementDecreasesWithDifficulty) {
     const int n = 600;
     for (int i = 0; i < n; ++i) {
       const Query q = task.GenerateQuery(1000 + i, h);
-      agreement += task.MatchScore(q.model_outputs[0], q.ensemble_output);
+      agreement += task.MatchScore(q.model_output(0), q.ensemble_output());
     }
     agreement /= n;
     EXPECT_LT(agreement, prev + 0.02);

@@ -84,8 +84,8 @@ TEST(KMeansTest, DuplicatePointsHandled) {
   std::vector<std::vector<double>> points(20, {1.0, 1.0});
   auto result = KMeans::Fit(points, {.clusters = 4}, rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().Assign({1.0, 1.0}),
-            result.value().Assign({1.0, 1.0}));
+  const std::vector<double> point = {1.0, 1.0};
+  EXPECT_EQ(result.value().Assign(point), result.value().Assign(point));
 }
 
 }  // namespace

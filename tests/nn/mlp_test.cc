@@ -144,7 +144,7 @@ TEST(MlpTest, TrainsLinearRegression) {
   Rng rng(17);
   const double loss = TrainMlp(&mlp, data, MseLossGrad, options, rng);
   EXPECT_LT(loss, 1e-4);
-  EXPECT_NEAR(mlp.Forward({0.5, 0.5})[0], 0.5, 0.05);
+  EXPECT_NEAR(mlp.Forward(std::vector<double>{0.5, 0.5})[0], 0.5, 0.05);
 }
 
 TEST(MlpTest, SoftmaxCrossEntropyTrainsClassifier) {
@@ -207,7 +207,7 @@ TEST(AdamTest, ConvergesOnQuadratic) {
     mlp.Backward(cache, grad_out, &grads);
     adam.Step(grads, &mlp);
   }
-  EXPECT_NEAR(mlp.Forward({1.0})[0], 3.0, 0.01);
+  EXPECT_NEAR(mlp.Forward(std::vector<double>{1.0})[0], 3.0, 0.01);
   EXPECT_EQ(adam.steps(), 500);
 }
 

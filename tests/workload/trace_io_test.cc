@@ -43,9 +43,9 @@ TEST(TraceIoTest, RoundTripsExactly) {
     EXPECT_DOUBLE_EQ(a.query.difficulty, b.query.difficulty);
     // Payload regenerates bit-for-bit from (id, difficulty).
     for (int k = 0; k < task.num_models(); ++k) {
-      for (size_t d = 0; d < a.query.model_outputs[k].size(); ++d) {
-        EXPECT_DOUBLE_EQ(a.query.model_outputs[k][d],
-                         b.query.model_outputs[k][d]);
+      for (size_t d = 0; d < a.query.model_output(k).size(); ++d) {
+        EXPECT_DOUBLE_EQ(a.query.model_output(k)[d],
+                         b.query.model_output(k)[d]);
       }
     }
   }

@@ -51,7 +51,7 @@ TEST(BuildTraceTest, ProducesSortedArrivalsWithDeadlines) {
     prev = tq.arrival_time;
     EXPECT_EQ(tq.relative_deadline(), 100 * kMillisecond);
     EXPECT_EQ(tq.source, 0);
-    EXPECT_EQ(tq.query.features.size(),
+    EXPECT_EQ(tq.query.features().size(),
               static_cast<size_t>(task.spec().feature_dim()));
   }
 }
