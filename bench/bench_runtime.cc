@@ -49,8 +49,8 @@ struct ScalingPoint {
   double mean_latency_ms = 0.0;
   ConcurrentServer::LockStatsSnapshot lock;
   ConcurrentServer::SchedulerStatsSnapshot sched;
-  /// Queries replayed by each arrival pump (size = num_arrival_threads).
-  std::vector<int64_t> pump_routed;
+  /// Queries the arrival pump routed.
+  int64_t pump_routed = 0;
 };
 
 /// One row of the eventual JSON report: google-benchmark's per-iteration
@@ -64,8 +64,7 @@ struct JsonEntry {
 
 ScalingPoint RunOnce(const SyntheticTask& task, const QueryTrace& trace,
                      int workers, double speedup, int domains = 1,
-                     int pumps = 1, int inbox_capacity = 0,
-                     int queue_capacity = 0) {
+                     int inbox_capacity = 0, int queue_capacity = 0) {
   StaticDeployment deployment;
   deployment.subset = kSubset;
   deployment.replicas = {0, workers, 0};
@@ -87,7 +86,6 @@ ScalingPoint RunOnce(const SyntheticTask& task, const QueryTrace& trace,
   options.speedup = speedup;
   options.num_domains = domains;
   options.routing = RoutingPolicyKind::kLeastLoaded;
-  options.num_arrival_threads = pumps;
   if (inbox_capacity > 0) options.inbox_capacity = inbox_capacity;
   if (queue_capacity > 0) options.queue_capacity = queue_capacity;
   ConcurrentServer server(task, std::move(policy_ptrs), options);
@@ -104,9 +102,7 @@ ScalingPoint RunOnce(const SyntheticTask& task, const QueryTrace& trace,
   point.mean_latency_ms = metrics.mean_latency_ms();
   point.lock = server.lock_stats();
   point.sched = server.scheduler_stats();
-  for (int p = 0; p < server.num_arrival_pumps(); ++p) {
-    point.pump_routed.push_back(server.pump_routed(p));
-  }
+  point.pump_routed = server.pump_routed(0);
   return point;
 }
 
@@ -392,16 +388,13 @@ int Main(int argc, char** argv) {
               "(target: >=3x, gate: >=1.5x)\n\n",
               sharded_scaling);
 
-  // Sharded-arrival sweep: the pump-count dimension. Twice the sharded
+  // Sharded-arrival sweep: ingest under backpressure. Twice the sharded
   // sweep's arrival rate and deliberately tiny inboxes AND executor
-  // queues make domain backpressure reach the pumps: a full inbox parks a
-  // pump on the blocking push, and a SINGLE pump parked on one domain
-  // head-of-line blocks ingest for every other domain, starving their
-  // executors once they drain. Four pumps park independently, so the
-  // other partitions keep every inbox topped up.
-  // Sleep-mode service: parked pumps cost no CPU, so the effect measures
-  // the pipeline shape, not host core count (calibrated 1.5-1.6x on a
-  // 2-core container at 64 workers).
+  // queues make domain backpressure reach the arrival pump: a full inbox
+  // parks it on the blocking push. Each pass routes at most one inbox's
+  // worth, so a parked pump holds back at most that much of the other
+  // domains' arrivals. At 64 workers the row's service floor is 15,896
+  // queries x 45 ms / 64 executors / speedup 40 = 0.28 s.
   PoissonTraffic arrival_traffic(3200.0);
   TraceOptions arrival_trace_options;
   arrival_trace_options.seed = 7;
@@ -410,54 +403,31 @@ int Main(int argc, char** argv) {
   std::printf("sharded-arrival sweep: %lld queries, 4 domains, tiny "
               "inboxes, least-loaded routing\n",
               static_cast<long long>(arrival_trace.size()));
-  TextTable arrival_table({"workers", "pumps", "wall_s", "throughput_qps",
-                           "vs_1_pump", "replans_skipped"});
-  double qps_64w_1p = 0.0;
-  double qps_64w_4p = 0.0;
+  TextTable arrival_table({"workers", "wall_s", "throughput_qps",
+                           "routed"});
   for (int workers : {32, 64}) {
-    double one_pump_qps = 0.0;
-    for (int pumps : {1, 4}) {
-      const ScalingPoint point =
-          RunOnce(task, arrival_trace, workers, 40.0, /*domains=*/4, pumps,
-                  /*inbox_capacity=*/32, /*queue_capacity=*/2);
-      if (pumps == 1) one_pump_qps = point.throughput_qps;
-      if (workers == 64 && pumps == 1) qps_64w_1p = point.throughput_qps;
-      if (workers == 64 && pumps == 4) qps_64w_4p = point.throughput_qps;
-      char wall[32], qps[32], rel[32];
-      std::snprintf(wall, sizeof(wall), "%.2f", point.wall_seconds);
-      std::snprintf(qps, sizeof(qps), "%.0f", point.throughput_qps);
-      std::snprintf(rel, sizeof(rel), "%.2fx",
-                    point.throughput_qps / one_pump_qps);
-      arrival_table.AddRow({std::to_string(workers), std::to_string(pumps),
-                            wall, qps, rel,
-                            std::to_string(point.sched.replans_skipped)});
-      JsonEntry entry;
-      entry.name = "BM_RuntimeShardedArrival/workers:" +
-                   std::to_string(workers) +
-                   "/domains:4/pumps:" + std::to_string(pumps);
-      entry.value_us = point.wall_seconds * 1e6;
-      entry.counters = {
-          {"throughput_qps", point.throughput_qps},
-          {"replans_skipped",
-           static_cast<double>(point.sched.replans_skipped)},
-      };
-      for (size_t p = 0; p < point.pump_routed.size(); ++p) {
-        entry.counters.emplace_back(
-            "routed_pump" + std::to_string(p),
-            static_cast<double>(point.pump_routed[p]));
-      }
-      entries.push_back(std::move(entry));
-    }
+    const ScalingPoint point =
+        RunOnce(task, arrival_trace, workers, 40.0, /*domains=*/4,
+                /*inbox_capacity=*/32, /*queue_capacity=*/2);
+    char wall[32], qps[32];
+    std::snprintf(wall, sizeof(wall), "%.2f", point.wall_seconds);
+    std::snprintf(qps, sizeof(qps), "%.0f", point.throughput_qps);
+    arrival_table.AddRow({std::to_string(workers), wall, qps,
+                          std::to_string(point.pump_routed)});
+    JsonEntry entry;
+    // The pumps:1 suffix keeps the row names of the pinned baseline.
+    entry.name = "BM_RuntimeShardedArrival/workers:" +
+                 std::to_string(workers) + "/domains:4/pumps:1";
+    entry.value_us = point.wall_seconds * 1e6;
+    entry.counters = {
+        {"throughput_qps", point.throughput_qps},
+        {"routed_pump0", static_cast<double>(point.pump_routed)},
+        {"trace_queries", static_cast<double>(arrival_trace.size())},
+    };
+    entries.push_back(std::move(entry));
   }
   arrival_table.Print();
-
-  const double arrival_speedup =
-      qps_64w_1p > 0.0 ? qps_64w_4p / qps_64w_1p : 0.0;
-  // Calibrated target is >=1.3x; the hard gate sits at 1.2x for
-  // time-shared CI runners (same rationale as the sharded gate).
-  std::printf("\n4 pumps vs 1 pump at 64 workers / 4 domains: %.2fx "
-              "(target: >=1.3x, gate: >=1.2x)\n\n",
-              arrival_speedup);
+  std::printf("\n");
 
   // Batching sweep: Schemble on the two-model retrieval ensemble, bursty
   // overlay, batching off vs on at {8,32} workers x {1,4} domains.
@@ -539,18 +509,16 @@ int Main(int argc, char** argv) {
               "(target: >=1.5x, gate: >=1.2x)\n\n",
               batching_speedup);
 
-  // Replan avoidance only fires when a wakeup finds the planning inputs
-  // unchanged, which a single run hits 0-10 times depending on thread
-  // timing; the row repeats and its skip gate reads the total.
+  // One run of this row is noisy (its processed fraction alone swings
+  // widely with thread timing), so the row repeats and reports medians.
   constexpr int kSchembleRepeats = 5;
   std::printf("schemble policy pressure (oracle scores, DP scheduler, "
               "rejection mode), %d repeats:\n",
               kSchembleRepeats);
   TextTable schemble_table({"repeat", "wall_s", "processed_frac",
-                            "sched_runs", "plans_invalidated",
-                            "replans_skipped", "lock_acq", "lock_held_ms"});
+                            "sched_runs", "plans_invalidated", "lock_acq",
+                            "lock_held_ms"});
   SampleSet held_ms, wall_s, processed, runs, invalidated, acq;
-  int64_t replans_skipped_total = 0;
   for (int r = 0; r < kSchembleRepeats; ++r) {
     const SchemblePoint sp = RunSchemble(50.0);
     held_ms.Add(sp.lock.held_ms);
@@ -559,7 +527,6 @@ int Main(int argc, char** argv) {
     runs.Add(static_cast<double>(sp.scheduler_runs));
     invalidated.Add(static_cast<double>(sp.sched.plans_invalidated));
     acq.Add(static_cast<double>(sp.lock.acquisitions));
-    replans_skipped_total += sp.sched.replans_skipped;
     char wall[32], frac[32], held[32];
     std::snprintf(wall, sizeof(wall), "%.2f", sp.wall_seconds);
     std::snprintf(frac, sizeof(frac), "%.3f", sp.processed_fraction);
@@ -567,18 +534,15 @@ int Main(int argc, char** argv) {
     schemble_table.AddRow({std::to_string(r), wall, frac,
                            std::to_string(sp.scheduler_runs),
                            std::to_string(sp.sched.plans_invalidated),
-                           std::to_string(sp.sched.replans_skipped),
                            std::to_string(sp.lock.acquisitions), held});
   }
   schemble_table.Print();
-  std::printf("\nreplans skipped across %d repeats: %lld (gate: > 0)\n\n",
-              kSchembleRepeats, static_cast<long long>(replans_skipped_total));
+  std::printf("\n");
 
   {
     // The Schemble row pins lock-held time (the number snapshot planning
     // exists to shrink) rather than makespan, which is trace-length-bound.
-    // Every figure is the median over the repeats except replans_skipped,
-    // the total, which the CI ratio gate and the > 0 gate below both read.
+    // Every figure is the median over the repeats.
     JsonEntry entry;
     entry.name = "BM_RuntimeSchemble/lock_held";
     entry.value_us = held_ms.Quantile(0.5) * 1e3;
@@ -587,7 +551,6 @@ int Main(int argc, char** argv) {
         {"processed_fraction", processed.Quantile(0.5)},
         {"scheduler_runs", runs.Quantile(0.5)},
         {"plans_invalidated", invalidated.Quantile(0.5)},
-        {"replans_skipped", static_cast<double>(replans_skipped_total)},
         {"lock_acquisitions", acq.Quantile(0.5)},
         {"repeats", static_cast<double>(kSchembleRepeats)},
     };
@@ -602,14 +565,6 @@ int Main(int argc, char** argv) {
   }
   if (sharded_scaling < 1.5) {
     std::printf("FAIL: insufficient sharded scaling\n");
-    return 1;
-  }
-  if (arrival_speedup < 1.2) {
-    std::printf("FAIL: insufficient multi-pump arrival speedup\n");
-    return 1;
-  }
-  if (replans_skipped_total <= 0) {
-    std::printf("FAIL: schemble pressure runs skipped no replans\n");
     return 1;
   }
   if (batching_speedup < 1.2) {

@@ -39,21 +39,6 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   SCHEMBLE_CHECK_GT(options_.queue_capacity, 0);
   SCHEMBLE_CHECK_GT(options_.inbox_capacity, 0);
   SCHEMBLE_CHECK_GE(options_.max_batch, 0);
-  SCHEMBLE_CHECK_GT(options_.num_arrival_threads, 0)
-      << "at least one arrival pump is required";
-  SCHEMBLE_CHECK_LE(options_.num_arrival_threads, 64)
-      << "arrival pump count capped at 64 (one OS thread each)";
-  SCHEMBLE_CHECK(options_.arrival_pump_weights.empty() ||
-                 options_.arrival_pump_weights.size() ==
-                     static_cast<size_t>(options_.num_arrival_threads))
-      << "arrival_pump_weights must be empty or have one entry per pump";
-  for (const int w : options_.arrival_pump_weights) {
-    SCHEMBLE_CHECK_GT(w, 0) << "arrival pump weights must be positive";
-  }
-  SCHEMBLE_CHECK(options_.router == nullptr ||
-                 options_.num_arrival_threads == 1)
-      << "a custom router is single-caller by contract; built-in routing "
-         "kinds get one instance per arrival pump";
   if (options_.executor_models.empty()) {
     for (int k = 0; k < task_->num_models(); ++k) {
       options_.executor_models.push_back(k);
@@ -95,33 +80,25 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
   }
 
   if (n_domains > 1) {
-    if (options_.router != nullptr) {
-      router_ = options_.router;
-    } else {
-      // RoutingPolicy instances are single-caller by contract, so each
-      // pump routes through its own instance — no cross-pump
-      // synchronization exists at all for hash/round-robin, and the
-      // load-aware kinds read the domains' atomics lock-free.
-      for (int p = 0; p < options_.num_arrival_threads; ++p) {
-        pump_routers_.push_back(MakeRoutingPolicy(options_.routing));
-      }
+    router_ = options_.router;
+    if (router_ == nullptr) {
+      owned_router_ = MakeRoutingPolicy(options_.routing);
+      router_ = owned_router_.get();
     }
   }
 
   for (int d = 0; d < n_domains; ++d) {
     DomainSlice& slice = slices[static_cast<size_t>(d)];
     slice.domain_id = d;
-    // The explicit cast happens here, inside a member, because the
-    // DomainHost base is private (domains are the only callers).
     domains_.push_back(std::make_unique<SchedulerDomain>(
-        *task_, policies_[static_cast<size_t>(d)],
-        static_cast<DomainHost*>(this), options_, std::move(slice)));
+        *task_, policies_[static_cast<size_t>(d)], this, options_,
+        std::move(slice)));
   }
 }
 
 ConcurrentServer::~ConcurrentServer() {
   // Run() joins everything before returning; nothing outlives it.
-  SCHEMBLE_CHECK(threads_.empty());
+  SCHEMBLE_CHECK(!pump_.joinable());
 }
 
 int ConcurrentServer::num_executors() const {
@@ -190,35 +167,10 @@ SCHEMBLE_HOT void ConcurrentServer::FinalizeQueries(
   }
 }
 
-SCHEMBLE_HOT void ConcurrentServer::ArrivalPumpLoop(int pump) {
+SCHEMBLE_HOT void ConcurrentServer::ArrivalPumpLoop() {
   const SimTime processing_delay = policies_[0]->ArrivalProcessingDelay();
-  const bool multi = domains_.size() > 1;
-  RoutingPolicy* router = router_ != nullptr
-                              ? router_
-                              : (pump_routers_.empty()
-                                     ? nullptr
-                                     : pump_routers_[static_cast<size_t>(
-                                                         pump)].get());
   const std::vector<TracedQuery>& items = trace_->items;
   const size_t n = items.size();
-  // This pump's slots [slot_begin, slot_end) of the weighted round-robin
-  // cycle; it replays trace index base + slot, walking slots in order and
-  // moving `base` on by one cycle each lap, so its indices ascend.
-  const std::vector<int>& weights = options_.arrival_pump_weights;
-  size_t cycle = 0;
-  size_t slot_begin = 0;
-  auto weight = [&weights](int p) {
-    return weights.empty()
-               ? size_t{1}
-               : static_cast<size_t>(weights[static_cast<size_t>(p)]);
-  };
-  for (int p = 0; p < options_.num_arrival_threads; ++p) {
-    if (p == pump) slot_begin = cycle;
-    cycle += weight(p);
-  }
-  const size_t slot_end = slot_begin + weight(pump);
-  size_t base = 0;
-  size_t slot = slot_begin;
   // One pass routes at most inbox_capacity arrivals in total: a larger
   // batch would only park in PushRouted. Buffers are reserved once, so a
   // pass never reallocates.
@@ -228,28 +180,26 @@ SCHEMBLE_HOT void ConcurrentServer::ArrivalPumpLoop(int pump) {
   for (std::vector<int>& r : routed) {
     r.reserve(max_batch);  // hot-ok: once per run, before the first pass
   }
-  std::vector<DomainLoad> loads(multi ? domains_.size() : 0);
-  int64_t routed_total = 0;
-  while (base + slot < n) {
-    // Each pump paces its own partition: its indices are ascending, so
-    // per-pump arrival order is the trace order of its slice.
-    clock_->SleepUntil(items[base + slot].arrival_time + processing_delay);
+  std::vector<DomainLoad> loads(router_ != nullptr ? domains_.size() : 0);
+  size_t next = 0;
+  while (next < n) {
+    clock_->SleepUntil(items[next].arrival_time + processing_delay);
     const SimTime now = clock_->Now();
     for (std::vector<int>& r : routed) r.clear();
-    // One lock-free load read per batch, not per query; the pump-local
-    // copy is then advanced by in-batch compensation below.
+    // One lock-free load read per batch, not per query; the local copy is
+    // then advanced by in-batch compensation below.
     for (size_t d = 0; d < loads.size(); ++d) {
       loads[d] = domains_[d]->Load();  // crosses(domain)
     }
-    // Batched routing: arrivals of this partition already due are placed
-    // in this pass, up to max_batch.
-    for (size_t batch = 0; batch < max_batch && base + slot < n; ++batch) {
-      const int index = static_cast<int>(base + slot);
-      const TracedQuery& tq = items[static_cast<size_t>(index)];
+    // Batched routing: arrivals already due are placed in this pass, up
+    // to max_batch.
+    for (size_t batch = 0; batch < max_batch && next < n; ++batch, ++next) {
+      const int index = static_cast<int>(next);
+      const TracedQuery& tq = items[next];
       if (tq.arrival_time + processing_delay > now) break;
       int d = 0;
-      if (multi) {
-        d = router->Route(tq, now, loads);
+      if (router_ != nullptr) {
+        d = router_->Route(tq, now, loads);
         SCHEMBLE_CHECK_GE(d, 0);
         SCHEMBLE_CHECK_LT(d, static_cast<int>(domains_.size()));
         // In-batch compensation: load-aware policies see the queries this
@@ -258,30 +208,14 @@ SCHEMBLE_HOT void ConcurrentServer::ArrivalPumpLoop(int pump) {
       }
       std::vector<int>& out = routed[static_cast<size_t>(d)];
       out.push_back(index);  // hot-ok: bounded by inbox_capacity
-      if (++slot == slot_end) {
-        slot = slot_begin;
-        base += cycle;
-      }
     }
     for (size_t d = 0; d < domains_.size(); ++d) {
       if (routed[d].empty()) continue;
-      routed_total += static_cast<int64_t>(routed[d].size());
-      const std::span<const int> batch(routed[d].data(), routed[d].size());
-      const size_t pushed =
-          domains_[d]->TryPushRoutedAll(batch);  // crosses(domain)
-      if (pushed < batch.size()) {
-        // Inbox full: park on the blocking push for the remainder only —
-        // the fast path above never waits on a domain.
-        domains_[d]->PushRouted(batch.subspan(pushed));  // crosses(domain)
-      }
+      pump_routed_ += static_cast<int64_t>(routed[d].size());
+      domains_[d]->PushRouted(routed[d]);  // crosses(domain)
     }
   }
-  pump_routed_[static_cast<size_t>(pump)] = routed_total;
-  // The last pump to drain its partition broadcasts end-of-arrivals, so
-  // every domain sees ArrivalsDone exactly once, after ALL arrivals.
-  if (pumps_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    for (const auto& domain : domains_) domain->ArrivalsDone();
-  }
+  for (const auto& domain : domains_) domain->ArrivalsDone();
 }
 
 ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
@@ -299,29 +233,12 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   finalized_total_.store(0, std::memory_order_relaxed);
   latency_slots_.assign(n, std::numeric_limits<double>::quiet_NaN());
 
-  // Deterministic pump partition: trace index i belongs to the pump owning
-  // slot (i mod cycle) of the weighted round-robin cycle. Equal weights
-  // (the default) reduce to plain round-robin i % P. The split depends
-  // only on the trace length and the options — never on seeds or timing —
-  // and each pump walks its slice in ascending order (ArrivalPumpLoop),
-  // preserving its arrival order.
-  const int n_pumps = options_.num_arrival_threads;
-  if (n > 0) {
-    SCHEMBLE_CHECK_LE(static_cast<size_t>(n_pumps), n)
-        << "more arrival pumps than trace queries: at least one pump "
-           "would replay nothing";
-  }
-  pump_routed_.assign(static_cast<size_t>(n_pumps), 0);
-  pumps_remaining_.store(n_pumps, std::memory_order_release);
-
   clock_ = std::make_unique<SteadyClock>(options_.speedup);
   for (const auto& domain : domains_) domain->Start();
-  for (int p = 0; p < n_pumps; ++p) {
-    threads_.emplace_back([this, p] {
-      SetExactTimerSlack();
-      ArrivalPumpLoop(p);
-    });
-  }
+  pump_ = std::thread([this] {
+    SetExactTimerSlack();
+    ArrivalPumpLoop();
+  });
 
   {
     MutexLock lock(&done_mu_);
@@ -329,8 +246,7 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   }
   for (const auto& domain : domains_) domain->Shutdown();
   for (const auto& domain : domains_) domain->Join();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
+  pump_.join();
 
   ServingMetrics metrics;
   for (const auto& shard : shards_) shard->AccumulateInto(&metrics);

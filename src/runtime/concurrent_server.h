@@ -51,24 +51,8 @@ struct ConcurrentServerOptions {
   /// Admission-side placement across domains (ignored for one domain).
   RoutingPolicyKind routing = RoutingPolicyKind::kLeastLoaded;
   /// Custom routing policy; overrides `routing` when non-null. Borrowed;
-  /// must outlive the server. RoutingPolicy instances are single-caller by
-  /// contract, so a custom router requires num_arrival_threads == 1
-  /// (CHECK-enforced); the built-in kinds get one instance per pump.
+  /// must outlive the server. Only the arrival pump calls it.
   RoutingPolicy* router = nullptr;
-  /// Arrival pumps replaying the trace concurrently. Each pump owns a
-  /// deterministic partition of the trace (round-robin by trace index, so
-  /// per-pump arrival order is preserved and the split is independent of
-  /// seeds and wall-clock timing), paces its own SleepUntil and routes
-  /// directly into domain inboxes. 1 (the default) reproduces the
-  /// single-admission-thread runtime exactly. Must be in [1, 64] and, for
-  /// non-empty traces, <= the trace size (CHECK-enforced).
-  int num_arrival_threads = 1;
-  /// Optional per-pump partition weights (size num_arrival_threads, each
-  /// > 0): trace index i belongs to the pump owning slot (i mod sum) of
-  /// the weighted round-robin cycle. Empty means equal weights. {4, 1}
-  /// gives pump 0 80% of the trace — the stress harness's skewed-pump
-  /// scenario.
-  std::vector<int> arrival_pump_weights;
   /// Bounded capacity of each domain's routed-arrival inbox.
   int inbox_capacity = 4096;
   /// Per-executor fault injection for stress scenarios, indexed like
@@ -100,11 +84,10 @@ struct ConcurrentServerOptions {
 /// thread's event made it useful.
 ///
 /// Threading model (see DESIGN.md "Sharded runtime" / "Arrival pipeline"):
-///  - num_arrival_threads arrival pumps replay disjoint round-robin
-///    partitions of the trace, each placing its queries on domains via its
-///    own RoutingPolicy instance routed against the domains' lock-free
-///    Load() atomics, pushing batches into bounded per-domain MPMC
-///    inboxes — pumps never touch a domain mutex (lint-enforced).
+///  - One arrival pump replays the trace, placing its queries on domains
+///    through the RoutingPolicy against the domains' lock-free Load()
+///    atomics and pushing batches into bounded per-domain MPMC inboxes —
+///    the pump never touches a domain mutex (lint-enforced).
 ///  - Each domain plans over its shard on the thread that saw the event:
 ///    the admitter after an admission batch, a worker after publishing
 ///    completions, as the simulator plans inside HandleArrival and
@@ -124,7 +107,7 @@ struct ConcurrentServerOptions {
 ///    after the run; a global exactly-once finalize claim per query turns
 ///    any cross-domain double dispatch into a CHECK failure.
 ///  - All blocking is condition-variable/timer based; nothing spins.
-class ConcurrentServer : private DomainHost {
+class ConcurrentServer {
  public:
   /// Single-policy constructor: requires num_domains == 1 (stateful policy
   /// calls are serialized per domain, so N domains need N instances).
@@ -136,7 +119,7 @@ class ConcurrentServer : private DomainHost {
   ConcurrentServer(const SyntheticTask& task,
                    std::vector<ServingPolicy*> policies,
                    ConcurrentServerOptions options);
-  ~ConcurrentServer() override;
+  ~ConcurrentServer();
 
   ConcurrentServer(const ConcurrentServer&) = delete;
   ConcurrentServer& operator=(const ConcurrentServer&) = delete;
@@ -166,29 +149,38 @@ class ConcurrentServer : private DomainHost {
   /// One domain's counters (bench_runtime's per-domain stats).
   SchedulerStatsSnapshot scheduler_stats(int domain) const;
 
-  int num_arrival_pumps() const { return options_.num_arrival_threads; }
-  /// Queries routed by one arrival pump; valid after Run() returns (each
-  /// slot has a single writer — its pump — and the join is the
-  /// happens-before edge to this read).
-  int64_t pump_routed(int pump) const {
-    return pump_routed_[static_cast<size_t>(pump)];
-  }
+  /// Always 1, and pump_routed(0) is the number of queries the pump
+  /// routed (valid after Run() returns; the join is the happens-before
+  /// edge). Kept until the benchmark's probes stop reading them, like the
+  /// zero `steals` fields of SchedulerStatsSnapshot.
+  int num_arrival_pumps() const { return 1; }
+  int64_t pump_routed(int /*pump*/) const { return pump_routed_; }
 
  private:
-  // DomainHost interface (domain threads call these).
-  const QueryTrace& trace() const override { return *trace_; }
-  Clock& clock() override { return *clock_; }
-  MetricSink* NewMetricShard() override;
-  void FinalizeQueries(std::span<const Finalization> batch,
-                       MetricSink* shard) override;
+  // Domains reach the trace, the clock, the metric shards and
+  // FinalizeQueries directly.
+  friend class SchedulerDomain;
 
-  /// One arrival pump: replays its slots of the weighted round-robin
-  /// partition (see Run) with its own SleepUntil pacing, routing against
-  /// lock-free domain Load() reads and pushing batches of at most
-  /// inbox_capacity into domain inboxes. Never acquires a domain mutex
-  /// (lint rule arrival-pump); the last pump to finish signals
-  /// ArrivalsDone.
-  void ArrivalPumpLoop(int pump);
+  /// A metric shard for one domain thread, owned here and merged after
+  /// the run joins. Called only by SchedulerDomain::Start, on the thread
+  /// running Run(), before the shard's thread records into it.
+  MetricSink* NewMetricShard();
+  /// Records the final outcomes of `batch` (aggregation, accuracy,
+  /// metrics into `shard`, run-completion accounting). `shard` belongs to
+  /// the calling thread; called from any domain thread with NO domain
+  /// mutex held. Exactly-once per query across ALL domains — a second
+  /// finalization of the same index is a CHECK failure, which turns a
+  /// cross-domain double dispatch into a loud failure instead of silent
+  /// metric corruption.
+  void FinalizeQueries(std::span<const Finalization> batch,
+                       MetricSink* shard);
+
+  /// The arrival pump: replays the trace in order with SleepUntil pacing,
+  /// routing against lock-free domain Load() reads and pushing batches of
+  /// at most inbox_capacity into domain inboxes. Never acquires a domain
+  /// mutex (lint rule arrival-pump); signals ArrivalsDone once the whole
+  /// trace is routed.
+  void ArrivalPumpLoop();
 
   const SyntheticTask* task_;
   std::vector<ServingPolicy*> policies_;
@@ -196,15 +188,12 @@ class ConcurrentServer : private DomainHost {
   /// Domains read options_ by reference, so it is declared (and thus
   /// destroyed) before them.
   std::vector<std::unique_ptr<SchedulerDomain>> domains_;
-  /// Borrowed custom router (options_.router; single pump only), or null.
+  /// The pump's router: options_.router, or the built-in kind owned by
+  /// owned_router_; null for one domain.
   RoutingPolicy* router_ = nullptr;
-  /// One built-in router instance per pump (RoutingPolicy instances are
-  /// single-caller); empty when router_ is set or num_domains == 1.
-  std::vector<std::unique_ptr<RoutingPolicy>> pump_routers_;
-  /// Queries routed per pump; single writer (the pump), read after join.
-  std::vector<int64_t> pump_routed_;
-  /// Last pump to finish flips this to 0 and broadcasts ArrivalsDone.
-  std::atomic<int> pumps_remaining_{0};
+  std::unique_ptr<RoutingPolicy> owned_router_;
+  /// Queries routed by the pump; single writer (the pump), read after join.
+  int64_t pump_routed_ = 0;
 
   std::unique_ptr<SteadyClock> clock_;
   const QueryTrace* trace_ = nullptr;
@@ -236,7 +225,7 @@ class ConcurrentServer : private DomainHost {
   /// disjoint), and only read back after Run() joins everything.
   std::vector<double> latency_slots_;
 
-  std::vector<std::thread> threads_;
+  std::thread pump_;
   bool ran_ = false;
 };
 

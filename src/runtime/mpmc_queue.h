@@ -77,9 +77,9 @@ class MpmcQueue {
   /// Non-blocking batched push: transfers a prefix of `items` in order,
   /// bounded by the free space observed in one lock round-trip. Returns
   /// the number pushed — 0 when full or closed, items.size() when the
-  /// whole batch fit. The arrival-pump fast path: a pump pushes what fits
-  /// without ever parking on a domain's inbox, and falls back to the
-  /// blocking PushAll only for the remainder.
+  /// whole batch fit. Its one caller is the own-queue guard in
+  /// SchedulerDomain::PushRuns: a worker that planned never blocks on its
+  /// own full queue, and keeps the remainder in its local run instead.
   size_t TryPushAll(std::span<const T> items) SCHEMBLE_EXCLUDES(mu_) {
     size_t pushed = 0;
     {

@@ -11,7 +11,7 @@
 
 namespace schemble {
 
-/// Load summary of one scheduler domain, filled by an arrival pump from
+/// Load summary of one scheduler domain, filled by the arrival pump from
 /// SchedulerDomain::Load(). All counts are instantaneous approximations
 /// (each atomic is read independently), which is exactly what a routing
 /// heuristic needs — never read them expecting a consistent cross-field
@@ -39,10 +39,9 @@ bool StrictlyLessLoaded(const DomainLoad& a, const DomainLoad& b);
 /// Pating scheduler xlators — a struct per strategy, one "pick a child"
 /// entry point).
 ///
-/// Threading contract: each INSTANCE is called by exactly one thread (its
-/// owning arrival pump), so implementations may keep unguarded mutable
-/// state (round-robin cursors) — concurrency across pumps comes from one
-/// instance per pump, never from sharing. Implementations must be
+/// Threading contract: an instance is called by exactly one thread (the
+/// server's arrival pump), so implementations may keep unguarded mutable
+/// state (round-robin cursors). Implementations must be
 /// deterministic functions of (query, now, domains) and their own call
 /// history — the routing unit tests replay fixed sequences. The load span
 /// an instance sees is a pump-local copy of the domains' Load() read once

@@ -12,19 +12,20 @@
 namespace schemble {
 
 SchedulerDomain::SchedulerDomain(const SyntheticTask& task,
-                                 ServingPolicy* policy, DomainHost* host,
+                                 ServingPolicy* policy,
+                                 ConcurrentServer* server,
                                  const ConcurrentServerOptions& options,
                                  DomainSlice slice)
     : task_(&task),
       policy_(policy),
-      host_(host),
+      server_(server),
       options_(options),
       slice_(std::move(slice)),
       inbox_(static_cast<size_t>(options_.inbox_capacity), LockRank::kInbox,
              "scheduler_domain.inbox") {
   // The server validates the shared options; the domain checks its slice.
   SCHEMBLE_CHECK(policy_ != nullptr);
-  SCHEMBLE_CHECK(host_ != nullptr);
+  SCHEMBLE_CHECK(server_ != nullptr);
   SCHEMBLE_CHECK(!slice_.executor_models.empty())
       << "a scheduler domain needs at least one executor";
   SCHEMBLE_CHECK_EQ(slice_.executor_models.size(),
@@ -86,7 +87,6 @@ SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
   s.plan_commits = plan_commits_.load(std::memory_order_relaxed);
   s.plans_invalidated = plans_invalidated_.load(std::memory_order_relaxed);
   s.replans = replans_.load(std::memory_order_relaxed);
-  s.replans_skipped = replans_skipped_.load(std::memory_order_relaxed);
   s.failstops = failstops_.load(std::memory_order_relaxed);
   s.requeues = requeues_.load(std::memory_order_relaxed);
   s.stale_tasks_dropped =
@@ -103,7 +103,6 @@ SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
   plan_commits += other.plan_commits;
   plans_invalidated += other.plans_invalidated;
   replans += other.replans;
-  replans_skipped += other.replans_skipped;
   failstops += other.failstops;
   requeues += other.requeues;
   stale_tasks_dropped += other.stale_tasks_dropped;
@@ -116,8 +115,8 @@ SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
 void SchedulerDomain::Start() {
   SCHEMBLE_CHECK(!started_) << "SchedulerDomain::Start is one-shot";
   started_ = true;
-  trace_ = &host_->trace();
-  clock_ = &host_->clock();
+  trace_ = server_->trace_;
+  clock_ = server_->clock_.get();
   {
     MutexLock lock(&mu_);
     lifecycle_.Reset(trace_->items.size());
@@ -127,21 +126,21 @@ void SchedulerDomain::Start() {
   // Every thread below may finalize queries, so each gets its own metric
   // shard, created here before the thread exists; so does the tail round,
   // which runs on the thread that calls ArrivalsDone.
-  tail_shard_ = host_->NewMetricShard();
-  MetricSink* shard = host_->NewMetricShard();
+  tail_shard_ = server_->NewMetricShard();
+  MetricSink* shard = server_->NewMetricShard();
   threads_.emplace_back([this, shard] {
     SetExactTimerSlack();
     AdmitterLoop(shard);
   });
   if (options_.allow_rejection) {
-    shard = host_->NewMetricShard();
+    shard = server_->NewMetricShard();
     threads_.emplace_back([this, shard] {
       SetExactTimerSlack();
       DeadlineLoop(shard);
     });
   }
   for (int e = 0; e < num_executors(); ++e) {
-    shard = host_->NewMetricShard();
+    shard = server_->NewMetricShard();
     threads_.emplace_back([this, e, shard] {
       SetExactTimerSlack();
       WorkerLoop(e, shard);
@@ -172,15 +171,6 @@ void SchedulerDomain::PushRouted(std::span<const int> indices) {
                          std::memory_order_acq_rel);
 }
 
-size_t SchedulerDomain::TryPushRoutedAll(std::span<const int> indices) {
-  const size_t pushed = inbox_.TryPushAll(indices);
-  if (pushed > 0) {
-    inbox_depth_.fetch_add(static_cast<int64_t>(pushed),
-                           std::memory_order_acq_rel);
-  }
-  return pushed;
-}
-
 void SchedulerDomain::ArrivalsDone() {
   {
     MutexLock lock(&mu_);
@@ -205,14 +195,13 @@ void SchedulerDomain::PlanRounds(MetricSink* shard) {
     const bool replanning = PlanAndDispatch();
     MutexLock lock(&mu_);
     // Same critical section as the release: a thread that found the token
-    // taken has either left its request by now, and gets its round here,
-    // or will find the token free and plan itself. A request the finished
-    // round's snapshot already covered costs one skipped round.
+    // taken after the round's snapshot has either left its request by now,
+    // and gets its round here, or will find the token free and plan
+    // itself.
     if (shutdown_ || !(replanning || replan_requested_)) {
       planning_ = false;
       return;
     }
-    replan_requested_ = false;
   }
 }
 
@@ -255,12 +244,7 @@ uint64_t SchedulerDomain::CommitLocked(int index, SubsetMask subset) {
 bool SchedulerDomain::ClaimFinalizeLocked(int index) {
   const bool buffered = lifecycle_.phase(index) == QueryPhase::kBuffered;
   if (!lifecycle_.Finalize(index)) return false;
-  if (buffered) {
-    PublishBufferedLocked();
-    // Buffer membership changed under the planner's feet: the next
-    // scheduler round must re-plan (never skip).
-    ++view_generation_;
-  }
+  if (buffered) PublishBufferedLocked();
   return true;
 }
 
@@ -318,7 +302,6 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
   s->rejects.clear();
   bool notify_deadline = false;
   bool plan = false;
-  bool view_changed = false;
   {
     MutexLock lock(&mu_);
     if (shutdown_) return;
@@ -357,7 +340,6 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
           }
-          view_changed = true;
           break;
         }
         case ArrivalDecision::Action::kReject:
@@ -372,26 +354,22 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(std::span<const int> indices,
           if (options_.allow_rejection) {
             deadline_heap_.push({tq.deadline, index});
           }
-          view_changed = true;
           break;
       }
     }
     notify_deadline = !deadline_heap_.empty() &&
                       deadline_heap_.top().first < earliest_deadline;
-    // One generation bump per batch that assigned (capacity consumed) or
-    // buffered (planning inputs grew) anything. A pure-reject batch leaves
-    // the planner's world untouched, which is exactly what lets the
-    // scheduler skip the redundant replan it would otherwise be woken for.
-    if (view_changed) ++view_generation_;
-    // Anything buffered deserves a planning round: this thread runs it
-    // after the off-lock work below, or leaves it to the current planner.
+    // Anything buffered deserves a planning round, whatever the batch
+    // decided (the simulator drains after every arrival): this thread runs
+    // it after the off-lock work below, or leaves it to the current
+    // planner.
     if (!lifecycle_.buffer().empty()) plan = TakePlannerLocked();
   }
   // Pushed at once, as the simulator enqueues a zero-overhead commit. A
   // query finalized since the critical section still gets its tasks run;
   // their completions are dropped by the generation check.
   PushRuns(s);
-  if (!s->rejects.empty()) host_->FinalizeQueries(s->rejects, s->shard);
+  if (!s->rejects.empty()) server_->FinalizeQueries(s->rejects, s->shard);
   if (notify_deadline) deadline_cv_.NotifyAll();
   if (plan) PlanRounds(s->shard);
 }
@@ -410,19 +388,10 @@ bool SchedulerDomain::PlanAndDispatch() {
   bool replanning = false;
   {
     MutexLock lock(&mu_);
+    // This section reads the state every earlier request asked a round
+    // for, so it answers them all, whether it plans or finds nothing to do.
+    replan_requested_ = false;
     if (shutdown_ || lifecycle_.buffer().empty()) return false;
-    // Replan avoidance: when nothing that feeds the planner changed since
-    // the last planned snapshot (no admission assigned or buffered, no
-    // batch completed, no buffered query finalized or re-queued),
-    // re-running PlanOnView could only reproduce the previous answer —
-    // skip the whole snapshot -> plan -> commit round. The arrivals-done
-    // drain tail always plans, so the force-mode stuck check below can
-    // still fire.
-    if (!arrivals_done_ && view_generation_ == last_planned_gen_) {
-      // relaxed-ok: monotonic telemetry counter
-      replans_skipped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
     BuildViewInto(view);
     bool any_idle = false;
     all_idle = !view->executors.empty();
@@ -453,10 +422,6 @@ bool SchedulerDomain::PlanAndDispatch() {
     // snapshot with the mutex RELEASED, so arrivals and completions
     // keep flowing while the DP runs.
     SnapshotBufferLocked(plan_ws);
-    // Remember the snapshot's generation, not the post-commit one: a
-    // foreign bump during the off-lock plan (arrival, completion) must
-    // force the next round to plan against the fresher state.
-    const uint64_t snapshot_gen = view_generation_;
     lock.Release();
     // relaxed-ok: monotonic telemetry counter
     plans_.fetch_add(1, std::memory_order_relaxed);
@@ -498,7 +463,6 @@ bool SchedulerDomain::PlanAndDispatch() {
         replanning = true;
       }
     }
-    last_planned_gen_ = snapshot_gen;
     // Force mode has no deadline thread to finalize abandoned queries; a
     // policy that leaves the buffer untouched forever would hang the run.
     stuck_buffered = lifecycle_.buffer().size();
@@ -573,7 +537,7 @@ void SchedulerDomain::DeadlineLoop(MetricSink* shard) {
     const auto [outputs, completion] = lifecycle_.DeadlineOutcome(index, now);
     const Finalization finalization{index, outputs, completion};
     lock.Release();
-    host_->FinalizeQueries({&finalization, 1}, shard);
+    server_->FinalizeQueries({&finalization, 1}, shard);
     lock.Acquire();
   }
 }
@@ -737,9 +701,6 @@ bool SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
         ++stale;
       }
     }
-    // Completed executions always free projected capacity, so any planning
-    // skip pending on the old view is stale.
-    ++view_generation_;
     // Capacity just freed up: if anything is buffered, this worker owes a
     // planning round, or leaves it to the current planner.
     if (!lifecycle_.buffer().empty()) plan = TakePlannerLocked();
@@ -753,7 +714,7 @@ bool SchedulerDomain::PublishCompletions(int model, CompletionLog* log,
   }
   log->ended.clear();
   log->executions = 0;
-  if (!log->finalizes.empty()) host_->FinalizeQueries(log->finalizes, shard);
+  if (!log->finalizes.empty()) server_->FinalizeQueries(log->finalizes, shard);
   return plan;
 }
 
@@ -800,9 +761,6 @@ void SchedulerDomain::RequeueTasks(std::span<const Task> tasks,
       lifecycle_.Release(task.index);
       readmit.push_back(task.index);
     }
-    // The wiped assignments freed executor capacity the planner projected
-    // as consumed: never let a pending skip hide the recovery replan.
-    if (!readmit.empty()) ++view_generation_;
   }
   if (readmit.empty()) return;
   requeues_.fetch_add(static_cast<int64_t>(readmit.size()),

@@ -22,7 +22,7 @@
 
 namespace schemble {
 
-class SchedulerDomain;
+class ConcurrentServer;
 struct ConcurrentServerOptions;
 
 /// Fault-injection profile of one executor (the stress harness's scenario
@@ -56,31 +56,6 @@ struct Finalization {
   SimTime completion = 0;
 };
 
-/// Services a scheduler domain consumes from its owning server. The host
-/// owns everything global — the trace, the clock, the metric shards, the
-/// run-completion doorbell — while each domain owns one shard of the
-/// scheduling state. FinalizeQueries is safe to call from any domain thread
-/// and is called with NO domain mutex held.
-class DomainHost {
- public:
-  virtual ~DomainHost() = default;
-
-  virtual const QueryTrace& trace() const = 0;
-  virtual Clock& clock() = 0;
-  /// A metric shard for one domain thread, owned by the host and merged
-  /// after the run joins. Called only by SchedulerDomain::Start, on the
-  /// thread running the server, before the shard's thread records into it.
-  virtual MetricSink* NewMetricShard() = 0;
-  /// Records the final outcomes of `batch` (aggregation, accuracy,
-  /// metrics into `shard`, run-completion accounting). `shard` belongs to
-  /// the calling thread. Exactly-once per query across ALL domains — a
-  /// second finalization of the same index is a CHECK failure, which is
-  /// how the runtime turns a cross-domain double dispatch into a loud test
-  /// failure instead of silent metric corruption.
-  virtual void FinalizeQueries(std::span<const Finalization> batch,
-                               MetricSink* shard) = 0;
-};
-
 /// The part of the deployment one domain owns. Everything else a domain
 /// reads from the server's ConcurrentServerOptions.
 struct DomainSlice {
@@ -109,29 +84,31 @@ struct DomainSlice {
 /// admission path never touches the domain mutex on the fast path (the
 /// inbox's internal queue lock is the only synchronization, and the
 /// blocking admitter is woken by the queue's own condition variable), and
-/// leave through the host's FinalizeQueries exactly once.
+/// leave through the server's FinalizeQueries exactly once.
 ///
 /// Domains never interact (see DESIGN.md "Sharded runtime"): the arrival
-/// pumps route each query into exactly one domain's inbox, reading the
+/// pump routes each query into exactly one domain's inbox, reading the
 /// domains' published load atomics, and the query stays in that domain
 /// until it is finalized. Every way into a domain goes through AdmitBatch,
 /// so a query is admitted (not kPending) at most once at a time; the
-/// host's exactly-once finalize CHECK turns any double dispatch into a
-/// loud failure.
+/// server's exactly-once finalize CHECK turns any double dispatch into a
+/// loud failure. The owning ConcurrentServer holds everything global —
+/// the trace, the clock, the metric shards, the run-completion doorbell —
+/// and the domain reads it directly, as a friend.
 class SchedulerDomain {
  public:
-  /// `options` is the owning server's configuration and must outlive the
-  /// domain.
+  /// `server` owns the domain; `options` is its configuration and must
+  /// outlive the domain.
   SchedulerDomain(const SyntheticTask& task, ServingPolicy* policy,
-                  DomainHost* host, const ConcurrentServerOptions& options,
-                  DomainSlice slice);
+                  ConcurrentServer* server,
+                  const ConcurrentServerOptions& options, DomainSlice slice);
   ~SchedulerDomain();
 
   SchedulerDomain(const SchedulerDomain&) = delete;
   SchedulerDomain& operator=(const SchedulerDomain&) = delete;
 
   /// Spawns the admitter, the deadline thread (rejection mode) and the
-  /// workers. The host's trace/clock must be live; one-shot.
+  /// workers. The server's trace/clock must be live; one-shot.
   void Start();
   /// Flags shutdown, closes the inbox and executor queues, wakes every
   /// blocked thread. Idempotent.
@@ -140,25 +117,20 @@ class SchedulerDomain {
 
   /// Routes a batch of trace indices into this domain (bounded blocking
   /// push; the domain's admitter thread wakes through the inbox's own
-  /// condition variable). Admission-thread side of the fast path: never
+  /// condition variable). The arrival pump's side of ingest: never
   /// touches the domain mutex.
   void PushRouted(std::span<const int> indices);
-  /// Non-blocking batched variant (arrival-pump fast path): pushes a
-  /// prefix of `indices` bounded by the inbox's free space, never parking
-  /// the caller on this domain. Returns the number pushed; the pump falls
-  /// back to the blocking PushRouted for the remainder.
-  size_t TryPushRoutedAll(std::span<const int> indices);
-  /// Signals that the admission thread has routed the whole trace, and
-  /// runs the tail planning round on the calling thread (rounds stop
-  /// skipping from here on, so the force-mode stuck check gets its round
-  /// even when no further event arrives). Called once per domain.
+  /// Signals that the arrival pump has routed the whole trace, and runs
+  /// the tail planning round on the calling thread, so the force-mode
+  /// stuck check gets its round even when no further event arrives.
+  /// Called once per domain.
   void ArrivalsDone() SCHEMBLE_EXCLUDES(mu_);
 
   /// This domain's load, read straight from the atomics its threads
   /// already maintain (inbox depth, buffered count, executor queue
   /// depths). Lock-free and individually approximate: each counter is
-  /// read independently, never as a consistent snapshot. Arrival pumps
-  /// route on it.
+  /// read independently, never as a consistent snapshot. The arrival pump
+  /// routes on it.
   DomainLoad Load() const;
   int num_executors() const { return static_cast<int>(executors_.size()); }
 
@@ -174,13 +146,10 @@ class SchedulerDomain {
     int64_t plans_invalidated = 0;
     /// Immediate re-plan rounds triggered by invalidated entries.
     int64_t replans = 0;
-    /// Scheduler rounds that skipped PlanOnView entirely because the view
-    /// generation was unchanged since the last planned snapshot (no
-    /// arrival, completion or requeue touched the buffer or capacity in
-    /// between, so replanning could only reproduce the previous answer).
+    /// Always 0: domains no longer skip rounds, steal or donate. Kept
+    /// until the benchmark drops its runtime.replans_skipped/steals/
+    /// stolen/rebalances/donated rows.
     int64_t replans_skipped = 0;
-    /// Always 0: domains no longer steal or donate. Kept until the
-    /// benchmark drops its runtime.steals/stolen/rebalances/donated rows.
     int64_t steals = 0;
     int64_t stolen = 0;
     int64_t rebalances = 0;
@@ -320,12 +289,12 @@ class SchedulerDomain {
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
   /// shard, through the planning context; the caller holds the planner
-  /// token. Before the last arrival, a round whose view generation equals
-  /// the last planned snapshot's is elided entirely (counted in
-  /// replans_skipped). Commits are placed in the validating critical
-  /// section and pushed before returning. Returns whether commit-time
-  /// validation dropped entries while queries stay buffered (the round
-  /// asks for its own re-plan).
+  /// token. The critical section that takes the snapshot also clears
+  /// replan_requested_: every request made before it is answered by this
+  /// round. Commits are placed in the validating critical section and
+  /// pushed before returning. Returns whether commit-time validation
+  /// dropped entries while queries stay buffered (the round asks for its
+  /// own re-plan).
   bool PlanAndDispatch() SCHEMBLE_EXCLUDES(mu_);
   /// Under mu_: takes the planner token, or, when another thread holds
   /// it, leaves that holder a replan request. Returns whether the caller
@@ -333,8 +302,9 @@ class SchedulerDomain {
   bool TakePlannerLocked() SCHEMBLE_REQUIRES(mu_);
   /// With the planner token held: runs rounds on the calling thread,
   /// recording finalizations into its `shard`, until no round is
-  /// requested, then releases the token. Requests are re-checked under mu_
-  /// in the section that releases it, so no round is lost.
+  /// requested, then releases the token. Requests left after a round's
+  /// snapshot are re-checked under mu_ in the section that releases it,
+  /// so no round is lost.
   void PlanRounds(MetricSink* shard) SCHEMBLE_EXCLUDES(mu_);
 
   /// Fills `batch` with up to `cap` tasks of `ex`'s model: the local run
@@ -388,7 +358,7 @@ class SchedulerDomain {
 
   const SyntheticTask* task_;
   ServingPolicy* policy_;
-  DomainHost* host_;
+  ConcurrentServer* server_;
   const ConcurrentServerOptions& options_;
   DomainSlice slice_;
   std::vector<Executor> executors_;
@@ -400,7 +370,7 @@ class SchedulerDomain {
   Clock* clock_ = nullptr;
 
   /// Routed-but-unadmitted trace indices: the only write path into a
-  /// domain from outside (the arrival pumps), drained by the admitter.
+  /// domain from outside (the arrival pump), drained by the admitter.
   MpmcQueue<int> inbox_;
   /// Published inbox occupancy for lock-free load reads. Pushers add AFTER
   /// the push lands and drainers subtract AFTER the pop, so the count can
@@ -439,23 +409,14 @@ class SchedulerDomain {
   /// DrainBuffer from re-entering.
   bool planning_ SCHEMBLE_GUARDED_BY(mu_) = false;
   bool replan_requested_ SCHEMBLE_GUARDED_BY(mu_) = false;
-  /// Bumped whenever the planning inputs change: a batch admits or buffers
-  /// queries, a worker batch completes (capacity freed), a buffered query
-  /// is finalized, or an assigned one is re-queued. The planner compares
-  /// it to the generation of its last planned snapshot and skips the
-  /// whole snapshot -> PlanOnView -> commit round when unchanged.
-  uint64_t view_generation_ SCHEMBLE_GUARDED_BY(mu_) = 0;
 
   /// The domain's one planning context. Only the holder of the planner
   /// token (planning_) touches these, and the token changes hands under
   /// mu_, so PlanOnView stays serialized per domain whichever thread
-  /// plans. The scratch's shard is the holder's own, set per PlanRounds;
-  /// last_planned_gen_ is the generation of the last snapshot fed to
-  /// PlanOnView (the sentinel guarantees the first round plans).
+  /// plans. The scratch's shard is the holder's own, set per PlanRounds.
   PlanWorkspace plan_ws_;
   ServerView plan_view_;
   SchedulerScratch plan_scratch_{nullptr};
-  uint64_t last_planned_gen_ = ~uint64_t{0};
   /// The metric shard of the tail round ArrivalsDone runs on its caller.
   MetricSink* tail_shard_ = nullptr;
 
@@ -470,7 +431,6 @@ class SchedulerDomain {
   std::atomic<int64_t> plan_commits_{0};
   std::atomic<int64_t> plans_invalidated_{0};
   std::atomic<int64_t> replans_{0};
-  std::atomic<int64_t> replans_skipped_{0};
   std::atomic<int64_t> failstops_{0};
   std::atomic<int64_t> requeues_{0};
   std::atomic<int64_t> stale_tasks_dropped_{0};

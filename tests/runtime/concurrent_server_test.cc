@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "baselines/original_policy.h"
 #include "baselines/static_policy.h"
@@ -415,6 +417,79 @@ TEST_F(ConcurrentServerTest, OneDomainPlansOnTheAdmittingThread) {
     planned_on_admitter += static_cast<int>(policy.arrival_threads.count(id));
   }
   EXPECT_GT(planned_on_admitter, 0);
+}
+
+/// Buffers the first arrival, rejects the second and assigns the full
+/// ensemble to every later one; plans the buffer onto the full ensemble only once
+/// it has seen three arrivals. Records the arrival count every PlanOnView
+/// call saw.
+class ArrivalCountingPlanPolicy : public ServingPolicy {
+ public:
+  std::string name() const override { return "arrival-counting-plan"; }
+
+  ArrivalDecision OnArrival(const TracedQuery& /*query*/,
+                            const ServerView& view) override {
+    switch (arrivals_.fetch_add(1)) {
+      case 0:
+        return ArrivalDecision::Buffer();
+      case 1:
+        return ArrivalDecision::Reject();
+      default:
+        return ArrivalDecision::Assign(FullMask(view.num_models()));
+    }
+  }
+
+  void PlanOnView(const ServerView& view, PlanWorkspace* ws) const override {
+    const int seen = arrivals_.load();
+    // Only the planner-token holder runs PlanOnView, and the test reads
+    // this after Run() joins every thread.
+    arrivals_seen_by_plans.push_back(seen);
+    ws->output.assignments.clear();
+    ws->output.overhead_us = 0;
+    if (seen < 3) return;
+    for (size_t i = 0; i < ws->buffer.size(); ++i) {
+      ws->output.assignments.push_back({ws->buffer[i].traced->query.id,
+                                        FullMask(view.num_models()),
+                                        static_cast<int>(i)});
+    }
+  }
+
+  mutable std::vector<int> arrivals_seen_by_plans;
+
+ private:
+  // OnArrival runs under the domain mutex, PlanOnView off it.
+  std::atomic<int> arrivals_{0};
+};
+
+TEST_F(ConcurrentServerTest, RejectedArrivalStillPlansTheBuffer) {
+  // The simulator drains a non-empty buffer after every arrival decision,
+  // a rejection included (EnsembleServer::HandleArrival), and the policy's
+  // state may have moved with that decision. So the runtime must plan
+  // after query 1's rejection too, while query 0 waits in the buffer.
+  // Query 2 is assigned; query 3 comes last so that the end-of-arrivals
+  // round, which the pump runs right after pushing it, cannot stand in
+  // for the round owed to the rejection.
+  ArrivalCountingPlanPolicy policy;
+  ConcurrentServerOptions options;
+  options.allow_rejection = false;
+  // 10 virtual s between arrivals are 100 ms real: each arrival is
+  // admitted, and its round run, well before the next one.
+  options.speedup = 100.0;
+  ConcurrentServer server(*task_, &policy, options);
+  QueryTrace trace = MakeTrace(1.0, 40 * kSecond, 600 * kSecond);
+  ASSERT_GE(trace.size(), 4);
+  trace.items.resize(4);
+  for (size_t i = 0; i < trace.items.size(); ++i) {
+    trace.items[i].arrival_time = static_cast<SimTime>(i) * 10 * kSecond;
+    trace.items[i].deadline = trace.items[i].arrival_time + 600 * kSecond;
+  }
+  const ServingMetrics metrics = server.Run(trace);
+  CheckInvariants(metrics, trace);
+  EXPECT_EQ(metrics.processed, 3);
+  EXPECT_EQ(metrics.missed, 1);
+  const std::vector<int>& seen = policy.arrivals_seen_by_plans;
+  EXPECT_GE(std::count(seen.begin(), seen.end(), 2), 1)
+      << "no planning round ran between the rejection and the next arrival";
 }
 
 class ConcurrentSchembleTest : public ::testing::Test {

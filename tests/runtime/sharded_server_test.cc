@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -183,167 +182,6 @@ TEST(ShardedServerTest, UnderReplicatedModelIsRejected) {
                "fewer replicas than scheduler domains");
 }
 
-TEST(ShardedServerTest, ZeroArrivalPumpsIsRejected) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.num_arrival_threads = 0;
-  EXPECT_DEATH(ConcurrentServer(task, {&policy_a, &policy_b}, options),
-               "at least one arrival pump is required");
-}
-
-TEST(ShardedServerTest, ExcessiveArrivalPumpCountIsRejected) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.num_arrival_threads = 65;
-  EXPECT_DEATH(ConcurrentServer(task, {&policy_a, &policy_b}, options),
-               "arrival pump count capped at 64");
-}
-
-TEST(ShardedServerTest, MorePumpsThanTraceQueriesIsRejected) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.num_arrival_threads = 8;
-  options.speedup = 100.0;
-  ConcurrentServer server(task, {&policy_a, &policy_b}, options);
-  // The check fires at Run time: the pump count is validated against the
-  // concrete trace, not the options alone.
-  QueryTrace trace = MakeSimpleTrace(task, 10.0, 10 * kSecond, 10 * kSecond, 17);
-  trace.items.resize(3);
-  EXPECT_DEATH(server.Run(trace), "more arrival pumps than trace queries");
-}
-
-TEST(ShardedServerTest, MalformedPumpWeightsAreRejected) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.num_arrival_threads = 2;
-  options.arrival_pump_weights = {4, 1, 1};  // three weights, two pumps
-  EXPECT_DEATH(ConcurrentServer(task, {&policy_a, &policy_b}, options),
-               "one entry per pump");
-  options.arrival_pump_weights = {4, 0};  // a pump that owns nothing
-  EXPECT_DEATH(ConcurrentServer(task, {&policy_a, &policy_b}, options),
-               "arrival pump weights must be positive");
-}
-
-TEST(ShardedServerTest, CustomRouterRequiresSinglePump) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  FixedRouting all_to_zero(0);
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.router = &all_to_zero;
-  options.num_arrival_threads = 2;
-  // RoutingPolicy instances are single-caller; a user-supplied instance
-  // cannot be shared across pumps and the ctor must say so up front.
-  EXPECT_DEATH(ConcurrentServer(task, {&policy_a, &policy_b}, options),
-               "single-caller");
-}
-
-TEST(ShardedServerTest, MultiPumpForceModeProcessesEverything) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.routing = RoutingPolicyKind::kLeastLoaded;
-  options.allow_rejection = false;
-  options.speedup = 100.0;
-  options.num_arrival_threads = 4;
-  ConcurrentServer server(task, {&policy_a, &policy_b}, options);
-  EXPECT_EQ(server.num_arrival_pumps(), 4);
-  const QueryTrace trace =
-      MakeSimpleTrace(task, 20.0, 10 * kSecond, 10 * kSecond, 19);
-  const ServingMetrics metrics = server.Run(trace);
-  CheckShardedInvariants(metrics, trace);
-  EXPECT_EQ(metrics.processed, trace.size());
-  // Every query was routed by exactly one pump, and the round-robin
-  // partition gives every pump a non-empty slice of this trace.
-  int64_t routed = 0;
-  for (int p = 0; p < server.num_arrival_pumps(); ++p) {
-    EXPECT_GT(server.pump_routed(p), 0) << "pump " << p;
-    routed += server.pump_routed(p);
-  }
-  EXPECT_EQ(routed, trace.size());
-}
-
-TEST(ShardedServerTest, SkewedPumpWeightsPartitionTheTrace) {
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  OriginalPolicy policy_a;
-  OriginalPolicy policy_b;
-  ConcurrentServerOptions options;
-  options.num_domains = 2;
-  options.executor_models = {0, 0, 1, 1, 2, 2};
-  options.allow_rejection = false;
-  options.speedup = 100.0;
-  options.num_arrival_threads = 2;
-  options.arrival_pump_weights = {4, 1};  // pump 0 replays 80% of arrivals
-  ConcurrentServer server(task, {&policy_a, &policy_b}, options);
-  const QueryTrace trace =
-      MakeSimpleTrace(task, 20.0, 10 * kSecond, 10 * kSecond, 19);
-  const ServingMetrics metrics = server.Run(trace);
-  CheckShardedInvariants(metrics, trace);
-  EXPECT_EQ(metrics.processed, trace.size());
-  EXPECT_EQ(server.pump_routed(0) + server.pump_routed(1), trace.size());
-  // The weighted round-robin deal is deterministic: pump 0 owns slots
-  // {0,1,2,3} of every 5-slot cycle.
-  const int64_t n = trace.size();
-  EXPECT_EQ(server.pump_routed(0), (n / 5) * 4 + std::min<int64_t>(n % 5, 4));
-}
-
-TEST(ShardedServerTest, PumpCountDoesNotChangeDeterministicMetrics) {
-  // In force mode the completion metrics (conservation counts, subset
-  // histogram, accuracy sums) are pure functions of the trace and the
-  // policy — never of arrival-thread interleaving. Four pumps must
-  // reproduce the single-pump numbers. Deadlines are far beyond the
-  // replay window so wall-clock jitter on a loaded host cannot turn
-  // scheduling skew into deadline misses.
-  const SyntheticTask task = MakeTextMatchingTask(3);
-  const QueryTrace trace =
-      MakeSimpleTrace(task, 20.0, 10 * kSecond, 600 * kSecond, 19);
-  auto run = [&](int pumps) {
-    OriginalPolicy policy_a;
-    OriginalPolicy policy_b;
-    ConcurrentServerOptions options;
-    options.num_domains = 2;
-    options.executor_models = {0, 0, 1, 1, 2, 2};
-    options.routing = RoutingPolicyKind::kRoundRobin;
-    options.allow_rejection = false;
-    options.speedup = 100.0;
-    options.num_arrival_threads = pumps;
-    ConcurrentServer server(task, {&policy_a, &policy_b}, options);
-    return server.Run(trace);
-  };
-  const ServingMetrics one = run(1);
-  const ServingMetrics four = run(4);
-  EXPECT_EQ(one.total, four.total);
-  EXPECT_EQ(one.processed, four.processed);
-  EXPECT_EQ(one.missed, four.missed);
-  EXPECT_EQ(one.subset_size_counts, four.subset_size_counts);
-  // The per-query accuracies are identical; only the floating-point
-  // summation order differs (queries land in different domains when the
-  // round-robin cursor is per-pump), so compare with a tolerance.
-  EXPECT_NEAR(one.accuracy_sum, four.accuracy_sum, 1e-6);
-  EXPECT_NEAR(one.processed_accuracy_sum, four.processed_accuracy_sum, 1e-6);
-}
-
 TEST(ShardedServerTest, SkewedRoutingProcessesEveryQueryOnce) {
   const SyntheticTask task = MakeTextMatchingTask(3);
   OriginalPolicy policy_a;
@@ -414,7 +252,7 @@ TEST(ShardedServerTest, PumpRoutesOnOneLoadEntryPerDomain) {
   CheckShardedInvariants(metrics, trace);
   EXPECT_EQ(metrics.processed, trace.size());
 
-  // One Route call per query (single pump), each against one load entry
+  // One Route call per query, each against one load entry
   // per domain, in domain order, carrying that domain's executor count —
   // before any domain has admitted anything, too.
   const std::vector<int> executors = {5, 4, 3};

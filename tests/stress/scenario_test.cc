@@ -114,7 +114,7 @@ TEST(ScenarioRegistryTest, BuiltinFleetRegistersOnceAndIsFindable) {
        {"hetero-speeds", "stragglers-diurnal", "fail-stop-recovery",
         "multi-tenant-priorities", "bursty-overlay", "sharded-chaos",
         "batched-coalescing", "four-domain-gauntlet",
-        "skewed-arrival-pumps"}) {
+        "tiny-inboxes"}) {
     const Scenario* scenario = registry.Find(name);
     ASSERT_NE(scenario, nullptr) << name;
     EXPECT_EQ(scenario->name, name);

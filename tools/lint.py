@@ -37,15 +37,14 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
                         const PlanOnView / CreatePlanState path, off-lock.
 
   domain-crossing       Inside src/runtime/, calls into a scheduler domain's
-                        inbox surface (.PushRouted / .TryPushRoutedAll on
-                        an object) must carry a `// crosses(domain)`
-                        marker on the same or the preceding line. The
-                        arrival pumps are the only code that calls into a
-                        domain from outside, through these inbox entry
-                        points and the published load atomics, never
-                        through a domain's mutex; the marker makes every
-                        crossing grep-able and forces any new cross-domain
-                        traffic through an audited surface.
+                        inbox surface (.PushRouted on an object) must carry
+                        a `// crosses(domain)` marker on the same or the
+                        preceding line. The arrival pump is the only code
+                        that calls into a domain from outside, through this
+                        inbox entry point and the published load atomics,
+                        never through a domain's mutex; the marker makes
+                        every crossing grep-able and forces any new
+                        cross-domain traffic through an audited surface.
 
   arrival-pump          Inside src/runtime/, the body of any ArrivalPump*
                         function may only use the domain inbox surface and
@@ -188,8 +187,7 @@ SERIALIZED_OK_RE = re.compile(r"//\s*serialized\(mu_\)")
 
 # Calls on an object (not declarations/definitions, which use `::` or a
 # bare name) into a scheduler domain's cross-domain inbox surface.
-DOMAIN_CROSSING_RE = re.compile(
-    r"(->|\.)\s*(PushRouted|TryPushRoutedAll)\s*\(")
+DOMAIN_CROSSING_RE = re.compile(r"(->|\.)\s*PushRouted\s*\(")
 
 CROSSES_OK_RE = re.compile(r"//\s*crosses\(domain\)")
 
